@@ -70,13 +70,14 @@ pub struct EngineBenchEntry {
 }
 
 /// One transport-throughput measurement of the `bench_net` target: a
-/// whole loopback cluster run on one backend, with the counters every
+/// whole loopback cluster run on the reactor, with the counters every
 /// node's transport folded into the run report.
 #[derive(Clone, Debug)]
 pub struct NetBenchEntry {
     /// Measurement label, e.g. `lass_loan_8n_reactor`.
     pub scenario: String,
-    /// Transport backend (`reactor` or `threaded`).
+    /// Transport backend (always `reactor`; the column keeps the tracked
+    /// file's row format).
     pub backend: String,
     /// Algorithm name as reported by the run.
     pub algo: String,

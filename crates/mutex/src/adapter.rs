@@ -1,28 +1,29 @@
-//! Lift a [`SingleMutex`] into the workspace-wide [`Allocator`] interface.
+//! Lift a [`NaimiTrehel`] instance into the workspace-wide [`Allocator`]
+//! interface.
 //!
-//! This serves two purposes: it lets the mutual-exclusion substrates be
+//! This serves two purposes: it lets the mutual-exclusion substrate be
 //! tested under the same randomized `VirtualNet` harness (and the timed
 //! simulator) as the multi-resource protocols, and it documents the precise
 //! correspondence: a single-resource system is the degenerate multi-resource
 //! problem with `M = 1`.
 
-use crate::SingleMutex;
-use mra_protocol::{Allocator, Ctx, ProcState, WireMsg};
+use crate::naimi_trehel::{NaimiTrehel, NtMsg};
+use mra_protocol::{Allocator, Ctx, ProcState};
 use mra_types::{NodeId, ResourceSet};
 
-/// [`Allocator`] adapter over any [`SingleMutex`].
+/// [`Allocator`] adapter over one [`NaimiTrehel`] instance.
 ///
 /// Every request must be for the same singleton resource set (conventionally
 /// `{0}`); the adapter asserts this.
-pub struct MutexAllocator<X: SingleMutex> {
-    inner: X,
+pub struct MutexAllocator<T> {
+    inner: NaimiTrehel<T>,
     state: ProcState,
     name: &'static str,
 }
 
-impl<X: SingleMutex> MutexAllocator<X> {
+impl<T> MutexAllocator<T> {
     /// Wrap `inner`, reporting `name` in summaries.
-    pub fn new(inner: X, name: &'static str) -> Self {
+    pub fn new(inner: NaimiTrehel<T>, name: &'static str) -> Self {
         MutexAllocator {
             inner,
             state: ProcState::Idle,
@@ -31,13 +32,13 @@ impl<X: SingleMutex> MutexAllocator<X> {
     }
 
     /// Access the wrapped protocol (tests inspect token position).
-    pub fn inner(&self) -> &X {
+    pub fn inner(&self) -> &NaimiTrehel<T> {
         &self.inner
     }
 }
 
 /// Bridge a `Ctx` send queue into the `FnMut(NodeId, Msg)` sink the mutex
-/// substrates expect.
+/// expects.
 fn with_sink<M, R>(ctx: &mut Ctx<M>, f: impl FnOnce(&mut dyn FnMut(NodeId, M)) -> R) -> R {
     let mut buf: Vec<(NodeId, M)> = Vec::new();
     let r = f(&mut |to, m| buf.push((to, m)));
@@ -47,16 +48,13 @@ fn with_sink<M, R>(ctx: &mut Ctx<M>, f: impl FnOnce(&mut dyn FnMut(NodeId, M)) -
     r
 }
 
-impl<X: SingleMutex> Allocator for MutexAllocator<X>
-where
-    X::Msg: WireMsg,
-{
-    type Msg = X::Msg;
+impl<T: Clone + Send + 'static> Allocator for MutexAllocator<T> {
+    type Msg = NtMsg<T>;
 
     fn on_init(&mut self, _ctx: &mut Ctx<Self::Msg>) {}
 
-    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, from: NodeId, msg: Self::Msg) {
-        let acquired = with_sink(ctx, |sink| self.inner.on_message(from, msg, sink));
+    fn on_message(&mut self, ctx: &mut Ctx<Self::Msg>, _from: NodeId, msg: Self::Msg) {
+        let acquired = with_sink(ctx, |sink| self.inner.on_message(msg, sink));
         if acquired {
             debug_assert_eq!(self.state, ProcState::WaitCS);
             self.state = ProcState::InCS;
@@ -98,12 +96,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NaimiTrehel, SuzukiKasami};
+    use crate::NaimiTrehel;
     use mra_protocol::testkit::{run_random_workload, ExerciseCfg, VirtualNet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn nt_net(n: usize) -> VirtualNet<MutexAllocator<NaimiTrehel<()>>> {
+    fn nt_net(n: usize) -> VirtualNet<MutexAllocator<()>> {
         let nodes = (0..n)
             .map(|i| {
                 let mut nt = NaimiTrehel::new(i, 0);
@@ -112,13 +110,6 @@ mod tests {
                 }
                 MutexAllocator::new(nt, "naimi-trehel")
             })
-            .collect();
-        VirtualNet::new(nodes, 1)
-    }
-
-    fn sk_net(n: usize) -> VirtualNet<MutexAllocator<SuzukiKasami>> {
-        let nodes = (0..n)
-            .map(|i| MutexAllocator::new(SuzukiKasami::new(i, n, 0), "suzuki-kasami"))
             .collect();
         VirtualNet::new(nodes, 1)
     }
@@ -142,17 +133,6 @@ mod tests {
             let rep = run_random_workload(&mut net, &single_resource_cfg(6), &mut rng);
             assert_eq!(rep.cs_completed, 36, "seed {seed}");
             // Single resource: concurrency can never exceed 1.
-            assert_eq!(rep.max_concurrency, 1, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn suzuki_kasami_random_safety_liveness() {
-        for seed in 0..10 {
-            let mut net = sk_net(6);
-            let mut rng = StdRng::seed_from_u64(100 + seed);
-            let rep = run_random_workload(&mut net, &single_resource_cfg(6), &mut rng);
-            assert_eq!(rep.cs_completed, 36, "seed {seed}");
             assert_eq!(rep.max_concurrency, 1, "seed {seed}");
         }
     }

@@ -1,4 +1,4 @@
-//! Binary wire codecs for the mutual-exclusion substrate messages.
+//! Binary wire codec for the Naimi-Trehel messages.
 //!
 //! [`NtMsg`] is generic over its token payload, so its codec requires the
 //! payload to be [`WireCodec`] too — embedders (Bouabdallah–Laforest's
@@ -7,15 +7,10 @@
 //!
 //! ```text
 //! NtMsg<T>  := 0 origin:u32 | 1 T
-//! SkToken   := ln:vec<u64> queue:vecdeque<u32>
-//! SkMsg     := 0 origin:u32 seq:u64 | 1 SkToken
-//! RayMsg    := 0 (Request) | 1 (Token)
 //! ```
 
 use crate::naimi_trehel::NtMsg;
-use crate::raymond::RayMsg;
-use crate::suzuki_kasami::{SkMsg, SkToken};
-use mra_protocol::wire::{put_u64, put_usize, DecodeError, WireReader};
+use mra_protocol::wire::{put_usize, DecodeError, WireReader};
 use mra_protocol::WireCodec;
 
 impl<T: WireCodec> WireCodec for NtMsg<T> {
@@ -41,68 +36,9 @@ impl<T: WireCodec> WireCodec for NtMsg<T> {
     }
 }
 
-impl WireCodec for SkToken {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ln.encode(out);
-        self.queue.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        Ok(SkToken {
-            ln: WireCodec::decode(r)?,
-            queue: WireCodec::decode(r)?,
-        })
-    }
-}
-
-impl WireCodec for SkMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SkMsg::Request { origin, seq } => {
-                out.push(0);
-                put_usize(out, *origin);
-                put_u64(out, *seq);
-            }
-            SkMsg::Token(t) => {
-                out.push(1);
-                t.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8("SkMsg tag")? {
-            0 => Ok(SkMsg::Request {
-                origin: r.get_usize("SkMsg.origin")?,
-                seq: r.get_u64("SkMsg.seq")?,
-            }),
-            1 => Ok(SkMsg::Token(SkToken::decode(r)?)),
-            tag => Err(DecodeError::BadTag { what: "SkMsg", tag }),
-        }
-    }
-}
-
-impl WireCodec for RayMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            RayMsg::Request => 0,
-            RayMsg::Token => 1,
-        });
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        match r.get_u8("RayMsg tag")? {
-            0 => Ok(RayMsg::Request),
-            1 => Ok(RayMsg::Token),
-            tag => Err(DecodeError::BadTag { what: "RayMsg", tag }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
     use std::fmt;
 
     fn roundtrip_bytes<T: WireCodec + fmt::Debug>(v: &T) {
@@ -117,21 +53,5 @@ mod tests {
         roundtrip_bytes(&NtMsg::<u64>::Request { origin: 5 });
         roundtrip_bytes(&NtMsg::Token(u64::MAX));
         roundtrip_bytes(&NtMsg::Token(()));
-    }
-
-    #[test]
-    fn sk_roundtrips() {
-        roundtrip_bytes(&SkMsg::Request { origin: 3, seq: u64::MAX });
-        roundtrip_bytes(&SkMsg::Token(SkToken {
-            ln: vec![0, u64::MAX, 7],
-            queue: VecDeque::from([2usize, 0, 1]),
-        }));
-    }
-
-    #[test]
-    fn ray_roundtrips() {
-        roundtrip_bytes(&RayMsg::Request);
-        roundtrip_bytes(&RayMsg::Token);
-        assert!(RayMsg::from_bytes(&[2]).is_err());
     }
 }

@@ -8,16 +8,14 @@
 //! mpsc runtime assume.
 //!
 //! A connection opens with a 4-byte handshake: the connector's `NodeId` as
-//! `u32 LE`.  The threaded transport uses links unidirectionally (each
-//! ordered node pair has its own connection); the reactor transport runs
-//! one **bidirectional** connection per unordered pair.  Either way the
-//! handshake is all the receiver needs to attribute traffic.
+//! `u32 LE`.  The reactor transport runs one **bidirectional** connection
+//! per unordered pair, and the handshake is all the receiver needs to
+//! attribute traffic.
 //!
-//! Two decoders share the wire format: [`read_frame`] (blocking, one
-//! reader thread per connection) and [`FrameBuf`] (incremental, for
-//! nonblocking sockets under the reactor).
+//! [`FrameBuf`] is the incremental decoder the reactor runs on
+//! nonblocking sockets; the blocking [`write_frame`]/[`read_frame`] pair
+//! is the straightforward reference codec it is tested against.
 
-use mra_types::NodeId;
 use std::io::{self, Read, Write};
 
 /// Frame tag: the payload is one encoded protocol message.
@@ -66,9 +64,9 @@ pub fn begin_frame(buf: &mut Vec<u8>) {
 /// # Panics
 /// If the frame body exceeds [`MAX_FRAME`]: the receiver would reject it
 /// and kill the link with no hint of the cause, so an oversized frame
-/// fails loudly at the *sender*.  Unreachable for every legitimate
-/// message (the largest, a full control-token batch, is a few KiB — the
-/// resource universe is hard-capped at 256).
+/// fails loudly at the *sender*.  Unreachable at paper scale (the
+/// largest message, a full control-token batch over 80 resources, is a
+/// few KiB).
 #[inline]
 pub fn end_frame(buf: &mut [u8], tag: u8) {
     debug_assert!(buf.len() >= HEADER);
@@ -109,26 +107,6 @@ pub fn read_frame(r: &mut impl Read, scratch: &mut Vec<u8>) -> io::Result<u8> {
     scratch.resize(len, 0);
     r.read_exact(scratch)?;
     Ok(scratch[0])
-}
-
-/// Send the connection handshake: the connector's node id.
-pub fn write_handshake(w: &mut impl Write, me: NodeId) -> io::Result<()> {
-    debug_assert!(me <= u32::MAX as usize);
-    w.write_all(&(me as u32).to_le_bytes())
-}
-
-/// Receive the connection handshake, validating the id against `n`.
-pub fn read_handshake(r: &mut impl Read, n: usize) -> io::Result<NodeId> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    let id = u32::from_le_bytes(b) as usize;
-    if id >= n {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("handshake node id {id} out of range 0..{n}"),
-        ));
-    }
-    Ok(id)
 }
 
 /// Split a [`TAG_RDATA`] payload (`scratch[1..]`) into `(seq, ack, body)`.
@@ -611,13 +589,5 @@ mod tests {
             wb.consume(take);
         }
         assert_eq!(wb.pending(), expect.len());
-    }
-
-    #[test]
-    fn handshake_roundtrip_and_validation() {
-        let mut wire = Vec::new();
-        write_handshake(&mut wire, 6).unwrap();
-        assert_eq!(read_handshake(&mut Cursor::new(&wire), 8).unwrap(), 6);
-        assert!(read_handshake(&mut Cursor::new(&wire), 6).is_err());
     }
 }

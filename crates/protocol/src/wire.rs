@@ -6,17 +6,14 @@
 //!
 //! * fixed-width little-endian integers (`u8`/`u32`/`u64`);
 //! * `f64` as its IEEE-754 bit pattern (NaN-preserving);
-//! * ids (`NodeId`, `ResourceId`, lengths) as `u32` — the workspace caps
-//!   both universes at 256, so 32 bits leave ample headroom;
+//! * ids (`NodeId`, `ResourceId`, lengths) as `u32` — the largest
+//!   scenarios reach 10k nodes and 100k resources, so 32 bits leave ample
+//!   headroom;
 //! * enums as a leading `u8` variant tag;
 //! * sequences as a `u32` element count followed by the elements;
 //! * sets ([`DynSet`], i.e. `ResourceSet`/`NodeSet`) as a `u32` word count
 //!   followed by that many raw words, trailing zero words trimmed (see
-//!   [`DynSet::to_words`]).  **Wire-format change note:** before the
-//!   dynamic-set refactor, sets were `BitSet256` and encoded as exactly
-//!   four raw words with no length prefix; the two formats are not
-//!   interoperable.  The legacy fixed-width codec is retained on
-//!   [`BitSet256`] itself for the parity tests.
+//!   [`DynSet::to_words`]).
 //!
 //! Codecs are *total on the encode side* and *validating on the decode
 //! side*: [`WireCodec::decode`] returns [`DecodeError`] instead of
@@ -31,8 +28,7 @@
 //! Framing (length prefixes on the wire, peer handshakes) is the
 //! transport's job — see the `mra-net` crate.
 
-use mra_types::{BitSet256, DynSet, Time};
-use std::collections::VecDeque;
+use mra_types::{DynSet, Time};
 use std::fmt;
 
 /// Decoding failure: the input was truncated or structurally invalid.
@@ -185,8 +181,9 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-/// Append a `usize` as `u32` (ids and counts; the workspace universe is
-/// capped at 256 so this never truncates in practice — asserted anyway).
+/// Append a `usize` as `u32` (ids and counts; the largest universes are
+/// 100k elements, so this never truncates in practice — asserted in
+/// debug builds).
 #[inline]
 pub fn put_usize(out: &mut Vec<u8>, v: usize) {
     debug_assert!(v <= u32::MAX as usize, "usize {v} exceeds wire width");
@@ -281,22 +278,6 @@ impl WireCodec for Time {
     }
 }
 
-impl WireCodec for BitSet256 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for w in self.to_words() {
-            put_u64(out, w);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let mut words = [0u64; 4];
-        for w in &mut words {
-            *w = r.get_u64("BitSet256")?;
-        }
-        Ok(BitSet256::from_words(words))
-    }
-}
-
 impl WireCodec for DynSet {
     fn encode(&self, out: &mut Vec<u8>) {
         let words = self.to_words();
@@ -329,24 +310,6 @@ impl<T: WireCodec> WireCodec for Vec<T> {
         let mut v = Vec::with_capacity(len);
         for _ in 0..len {
             v.push(T::decode(r)?);
-        }
-        Ok(v)
-    }
-}
-
-impl<T: WireCodec> WireCodec for VecDeque<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_usize(out, self.len());
-        for x in self {
-            x.encode(out);
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let len = r.get_len(1, "VecDeque")?;
-        let mut v = VecDeque::with_capacity(len);
-        for _ in 0..len {
-            v.push_back(T::decode(r)?);
         }
         Ok(v)
     }
@@ -398,12 +361,8 @@ mod tests {
     fn containers_roundtrip() {
         roundtrip(vec![1u64, 2, 3]);
         roundtrip(Vec::<u64>::new());
-        roundtrip(VecDeque::from([4usize, 5]));
         roundtrip(Some(9u64));
         roundtrip(Option::<u64>::None);
-        roundtrip(BitSet256::full(256));
-        roundtrip(BitSet256::EMPTY);
-        roundtrip([0usize, 63, 64, 255].into_iter().collect::<BitSet256>());
     }
 
     #[test]
@@ -413,10 +372,9 @@ mod tests {
         roundtrip(DynSet::full(1000));
         roundtrip([0usize, 63, 64, 255, 256, 99_999].into_iter().collect::<DynSet>());
         // The empty set costs exactly the 4-byte length prefix; a small set
-        // costs prefix + one word — not the fixed 32 bytes of BitSet256.
+        // costs prefix + one word.
         assert_eq!(DynSet::EMPTY.to_bytes().len(), 4);
         assert_eq!(DynSet::singleton(3).to_bytes().len(), 4 + 8);
-        assert_eq!(BitSet256::EMPTY.to_bytes().len(), 32);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   loan mechanism.
 //! * [`baselines`] — incremental locking, Bouabdallah–Laforest, the
 //!   shared-memory ("central") scheduler and the Maddi broadcast algorithm.
-//! * [`mutex`] — Naimi-Trehel and Suzuki-Kasami single-resource substrates.
-//! * [`net`] — the real TCP transport: wire framing, the full-socket mesh,
+//! * [`mutex`] — the Naimi-Trehel single-resource mutex.
+//! * [`net`] — the real TCP transport: wire framing, the reactor mesh,
 //!   the loopback cluster harness and the solo node runtime behind the
 //!   `mra-node` binary.
 //! * [`obs`] — the observability layer: causal event tracing (Lamport

@@ -16,7 +16,7 @@
 //! 3. **Determinism** — seeded arrival streams make whole serving runs
 //!    reproducible on the simulator.
 
-use mra::net::{run_tcp_cluster, NetBackend, TcpClusterConfig};
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::serve::{ServeConfig, ServeWorkload, SharedServeStats};
@@ -197,9 +197,12 @@ fn serve_workload_over_tcp_reactor_cluster() {
     let (workloads, handles): (Vec<ServeWorkload>, Vec<SharedServeStats>) =
         ServeWorkload::fleet(&shaped, N);
     let lass = mra::core::LassConfig::with_loan(N, M);
-    let mut ccfg = TcpClusterConfig::new(rounds, 0x5EED);
-    ccfg.backend = NetBackend::Reactor;
-    let res = run_tcp_cluster(lass.build_nodes(), workloads, M, ccfg);
+    let res = run_tcp_cluster(
+        lass.build_nodes(),
+        workloads,
+        M,
+        TcpClusterConfig::new(rounds, 0x5EED),
+    );
     assert_eq!(res.cs_completed, (N * rounds) as u64);
     assert_eq!(res.censored, 0);
     assert!(res.msgs_total > 0, "no traffic crossed the wire");

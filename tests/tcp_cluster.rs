@@ -8,7 +8,7 @@
 
 use mra::baselines::BouabdallahLaforest;
 use mra::core::LassConfig;
-use mra::net::{run_tcp_cluster, NetBackend, TcpClusterConfig};
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::sim::FixedWorkload;
@@ -72,40 +72,25 @@ fn bouabdallah_laforest_8_node_cluster_over_tcp() {
     assert!(res.msgs_per_cs() >= 1.0);
 }
 
-/// One quota run per transport backend, explicitly pinned — the suite's
-/// other tests take the backend from the environment, so without these
-/// twins a CI machine pinned to one backend would never exercise the
-/// other.
-fn pinned_backend_run(backend: NetBackend) {
+/// A quota run on the reactor also tallies its transport counters: the
+/// harness folds every node's counters into the run report.
+#[test]
+fn lass_8_node_cluster_on_the_reactor_backend() {
     let rounds = rounds();
     let cfg = LassConfig::with_loan(N, M);
     let res = run_tcp_cluster(
         cfg.build_nodes(),
         workloads(),
         M,
-        TcpClusterConfig {
-            backend,
-            ..TcpClusterConfig::new(rounds, 0xC0FF_EE01)
-        },
+        TcpClusterConfig::new(rounds, 0xC0FF_EE01),
     );
     assert_eq!(res.cs_completed, (N * rounds) as u64);
     assert_eq!(res.censored, 0);
-    // The harness folds every node's transport counters into the run
-    // report; any quota run moves frames and costs write syscalls.
+    // Any quota run moves frames and costs write syscalls.
     assert!(res.obs.net.frames_out > 0, "no outbound frames tallied");
     assert!(res.obs.net.frames_in > 0, "no inbound frames tallied");
     assert!(res.obs.net.write_calls > 0, "no write syscalls tallied");
     assert!(res.obs.net.read_calls > 0, "no read syscalls tallied");
-}
-
-#[test]
-fn lass_8_node_cluster_on_the_reactor_backend() {
-    pinned_backend_run(NetBackend::Reactor);
-}
-
-#[test]
-fn lass_8_node_cluster_on_the_threaded_backend() {
-    pinned_backend_run(NetBackend::Threaded);
 }
 
 #[test]
@@ -121,7 +106,6 @@ fn reactor_backend_recovers_a_lossy_wire_with_the_session_layer() {
         workloads(),
         M,
         TcpClusterConfig {
-            backend: NetBackend::Reactor,
             faults: Some(FaultPlan::new(0xFA17).drop_rate(0.1).dup_rate(0.05)),
             reliability: Some(Reliability::with_rto(Time::from_millis(2))),
             ..TcpClusterConfig::new(rounds, 0xC0FF_EE02)
