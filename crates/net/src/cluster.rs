@@ -16,8 +16,7 @@
 
 use crate::reactor::{connect_reactor_mesh, ReactorPort};
 use crate::sys;
-use crate::transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl};
-use mra_obs::NetCounters;
+use crate::transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl, PortStats};
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
@@ -132,11 +131,9 @@ where
     let shared = Arc::new(RunShared::new(n, m));
     let remaining = Arc::new(AtomicUsize::new(active));
     // One counters slot per node: each reactor publishes its transport
-    // tallies there every iteration and the harness folds them into the
-    // run's observability report.
-    let slots: Vec<Arc<Mutex<NetCounters>>> = (0..n)
-        .map(|_| Arc::new(Mutex::new(NetCounters::default())))
-        .collect();
+    // and link-endpoint tallies there every iteration and the harness
+    // folds them into the run's result.
+    let slots: Vec<Arc<Mutex<PortStats>>> = (0..n).map(|_| Arc::default()).collect();
     let mesh = MeshConfig {
         extra_latency: cfg.extra_latency,
         connect_timeout: Duration::from_secs(10),
@@ -186,10 +183,7 @@ where
     let end = shared.now();
     let shared = Arc::try_unwrap(shared)
         .unwrap_or_else(|_| panic!("thread leaked a RunShared reference"));
-    let mut obs = shared.finish_obs();
-    for slot in &slots {
-        obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
-    }
+    let obs = shared.finish_obs();
     // Post-run conservation: every node finished outside its CS, so the
     // holder table must be empty — a leak here means a grant/release pair
     // corrupted it (the monitor's exit check is a hard assert in release
@@ -207,7 +201,19 @@ where
         .unwrap_or_else(|e| e.into_inner())
         .finish(&algo, n, end);
     res.obs = obs;
+    for slot in &slots {
+        absorb_port(&mut res, slot);
+    }
     res
+}
+
+/// Fold one port's published wire counters, fault verdicts and session
+/// counters into the run's result.
+fn absorb_port(res: &mut RunResult, slot: &Mutex<PortStats>) {
+    let port = slot.lock().unwrap_or_else(|e| e.into_inner());
+    res.obs.net.merge(&port.net);
+    res.faults.absorb(&port.faults);
+    res.reliability.absorb(&port.reliability);
 }
 
 /// Configuration of one standalone node in a multi-process cluster.
@@ -264,7 +270,7 @@ where
     let _ = sys::raise_nofile_limit((4 * n + 64) as u64);
     let shared = RunShared::new(n, m);
     let algo = proto.name().to_string();
-    let slot = Arc::new(Mutex::new(NetCounters::default()));
+    let slot: Arc<Mutex<PortStats>> = Arc::default();
     let node_cfg = NodeCfg {
         rounds: cfg.rounds,
         seed: cfg.seed,
@@ -287,14 +293,14 @@ where
     drive_node(me, n, proto, workload, port, &shared, node_cfg);
 
     let end = shared.now();
-    let mut obs = shared.finish_obs();
-    obs.net.merge(&slot.lock().unwrap_or_else(|e| e.into_inner()));
+    let obs = shared.finish_obs();
     let mut res = shared
         .collector
         .into_inner()
         .unwrap_or_else(|e| e.into_inner())
         .finish(&algo, n, end);
     res.obs = obs;
+    absorb_port(&mut res, &slot);
     Ok(res)
 }
 
@@ -369,6 +375,14 @@ mod tests {
         );
         assert_eq!(res.cs_completed, 20);
         assert_eq!(res.censored, 0);
+        // The nodes' link endpoints report into the cluster result, and
+        // their retransmissions are exactly the frames the reactors
+        // re-queued.
+        assert!(res.faults.dropped_link > 0, "{:?}", res.faults);
+        assert!(res.faults.duplicated > 0, "{:?}", res.faults);
+        assert!(res.reliability.retransmits > 0, "{:?}", res.reliability);
+        assert!(res.reliability.dup_dropped > 0, "{:?}", res.reliability);
+        assert_eq!(res.reliability.retransmits, res.obs.net.retransmit_frames);
     }
 
     #[test]

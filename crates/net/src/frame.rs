@@ -15,7 +15,12 @@
 //! [`FrameBuf`] is the incremental decoder the reactor runs on
 //! nonblocking sockets; the blocking [`write_frame`]/[`read_frame`] pair
 //! is the straightforward reference codec it is tested against.
+//! [`encode_packet`]/[`decode_packet`] map a link endpoint's
+//! [`Packet`] to and from its frame ([`TAG_MSG`], [`TAG_RDATA`],
+//! [`TAG_RACK`]).
 
+use mra_protocol::link::Packet;
+use mra_protocol::WireCodec;
 use std::io::{self, Read, Write};
 
 /// Frame tag: the payload is one encoded protocol message.
@@ -339,8 +344,53 @@ impl WriteBuf {
     }
 }
 
+/// Encode `packet` as one complete frame in `buf` (cleared first).
+/// Returns the frame's kind label for the transport counters.
+pub fn encode_packet<M: WireCodec>(buf: &mut Vec<u8>, packet: &Packet<M>) -> &'static str {
+    begin_frame(buf);
+    let (tag, label) = match packet {
+        Packet::Plain(msg) => {
+            msg.encode(buf);
+            (TAG_MSG, "Msg")
+        }
+        Packet::Data { seq, ack, msg } => {
+            buf.extend_from_slice(&seq.to_le_bytes());
+            buf.extend_from_slice(&ack.to_le_bytes());
+            msg.encode(buf);
+            (TAG_RDATA, "RData")
+        }
+        Packet::Ack { ack } => {
+            buf.extend_from_slice(&ack.to_le_bytes());
+            (TAG_RACK, "RAck")
+        }
+    };
+    end_frame(buf, tag);
+    label
+}
+
+/// Decode the payload (`scratch[1..]`) of a [`TAG_MSG`], [`TAG_RDATA`] or
+/// [`TAG_RACK`] frame.  Errors on any other tag and on a malformed
+/// payload.
+pub fn decode_packet<M: WireCodec>(tag: u8, payload: &[u8]) -> io::Result<Packet<M>> {
+    let msg = |body: &[u8]| {
+        M::from_bytes(body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    };
+    match tag {
+        TAG_MSG => Ok(Packet::Plain(msg(payload)?)),
+        TAG_RDATA => {
+            let (seq, ack, body) = split_rdata(payload)?;
+            Ok(Packet::Data { seq, ack, msg: msg(body)? })
+        }
+        TAG_RACK => Ok(Packet::Ack { ack: split_rack(payload)? }),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame tag {tag} carries no packet"),
+        )),
+    }
+}
+
 /// Parse a [`TAG_RACK`] payload (`scratch[1..]`) into its ack value.
-pub fn split_rack(payload: &[u8]) -> io::Result<u64> {
+fn split_rack(payload: &[u8]) -> io::Result<u64> {
     if payload.len() != 8 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -438,6 +488,25 @@ mod tests {
         assert_eq!(tag, TAG_RACK);
         assert_eq!(split_rack(&scratch[1..]).unwrap(), 9);
         assert!(split_rack(b"short").is_err());
+    }
+
+    #[test]
+    fn packets_roundtrip_through_their_frames() {
+        let mut buf = Vec::new();
+        let mut scratch = Vec::new();
+        for (packet, label) in [
+            (Packet::Plain(7u64), "Msg"),
+            (Packet::Data { seq: 42, ack: 3, msg: 9u64 }, "RData"),
+            (Packet::Ack { ack: 11 }, "RAck"),
+        ] {
+            assert_eq!(encode_packet(&mut buf, &packet), label);
+            let tag = read_frame(&mut Cursor::new(&buf), &mut scratch).unwrap();
+            let back: Packet<u64> = decode_packet(tag, &scratch[1..]).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{packet:?}"));
+        }
+        assert!(decode_packet::<u64>(TAG_DONE, b"").is_err(), "control frames carry none");
+        assert!(decode_packet::<u64>(TAG_RDATA, &[0; 8]).is_err(), "short rdata");
+        assert!(decode_packet::<u64>(TAG_MSG, &[1, 2]).is_err(), "bad payload");
     }
 
     #[test]

@@ -68,4 +68,4 @@ pub mod transport;
 
 pub use cluster::{run_solo_node, run_tcp_cluster, SoloConfig, TcpClusterConfig};
 pub use reactor::{connect_reactor_mesh, ReactorPort};
-pub use transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl};
+pub use transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl, PortStats};

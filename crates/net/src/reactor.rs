@@ -24,7 +24,11 @@
 //!   parks the remainder and resumes on write-readiness;
 //! * **reactor-owned timers** — reliability RTO deadlines and connect
 //!   retries bound the poll timeout; retransmission is serviced by the
-//!   reactor, not by whoever happens to be sitting in `recv`.
+//!   reactor, not by whoever happens to be sitting in `recv`;
+//! * **one link endpoint** — the node's
+//!   [`LinkEnd`](mra_protocol::link::LinkEnd), the same fault filter and
+//!   reliable session `Sim` and `VirtualNet` run; the reactor only maps
+//!   its packets to frames and its deadlines to `Instant`s.
 //!
 //! The node loop talks to the reactor through two mpsc channels plus a
 //! socketpair-based wakeup: senders enqueue a command and write one byte
@@ -42,14 +46,13 @@ pub use imp::{connect_reactor_mesh, ReactorPort};
 #[cfg(unix)]
 mod imp {
     use crate::frame::{
-        begin_frame, end_frame, split_rack, split_rdata, FrameBuf, WriteBuf, TAG_DONE, TAG_MSG,
-        TAG_RACK, TAG_RDATA, TAG_SHUTDOWN,
+        begin_frame, decode_packet, encode_packet, end_frame, FrameBuf, WriteBuf, TAG_DONE,
+        TAG_SHUTDOWN,
     };
     use crate::sys;
-    use crate::transport::{DoneAct, MeshConfig, PeerDirectory, PortCtrl};
+    use crate::transport::{DoneAct, MeshConfig, PeerDirectory, PortCtrl, PortStats};
     use mra_obs::NetCounters;
-    use mra_protocol::faults::{FrameFate, LinkFilter};
-    use mra_protocol::reliable::{Reliability, RtoVerdict, RxBatch, RxVerdict, TxSession};
+    use mra_protocol::link::{LinkEnd, Packet, Recv};
     use mra_protocol::WireCodec;
     use mra_sim::{NodePort, PortEvent};
     use mra_types::{NodeId, Time};
@@ -83,9 +86,10 @@ mod imp {
         Stop,
     }
 
-    /// Reactor → node-loop events.  The session layer already ran on the
-    /// reactor side: data frames arrive deduplicated and acked, so only
-    /// deliverable messages and control outcomes cross this channel.
+    /// Reactor → node-loop events.  The link endpoint already ran on the
+    /// reactor side: data frames arrive filtered, deduplicated and acked,
+    /// so only deliverable messages and control outcomes cross this
+    /// channel.
     enum Up<M> {
         Msg {
             from: NodeId,
@@ -133,35 +137,6 @@ mod imp {
         got: Vec<u8>,
     }
 
-    /// Per-peer reliable-session state (reactor-owned; the node loop
-    /// never touches sequence numbers).
-    struct Sessions<M> {
-        cfg: Reliability,
-        epoch: Instant,
-        tx: Vec<TxSession<M>>,
-        rx: Vec<RxBatch>,
-        /// Retransmit deadline per peer — the RTO timer wheel (a min-scan
-        /// over `n` slots; `n ≤ 256` keeps a real wheel unnecessary).
-        deadline: Vec<Option<Instant>>,
-    }
-
-    impl<M: Clone> Sessions<M> {
-        fn new(cfg: Reliability, n: usize) -> Self {
-            Sessions {
-                epoch: Instant::now(),
-                tx: (0..n).map(|_| TxSession::new(cfg.window)).collect(),
-                rx: vec![RxBatch::default(); n],
-                deadline: vec![None; n],
-                cfg,
-            }
-        }
-
-        /// Now on the session time axis.
-        fn now(&self) -> Time {
-            Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-        }
-    }
-
     struct Reactor<M: WireCodec + Clone> {
         me: NodeId,
         n: usize,
@@ -174,13 +149,15 @@ mod imp {
         up: mpsc::Sender<Up<M>>,
         conns: Vec<PeerConn>,
         pending: Vec<Option<Pending>>,
-        sess: Option<Sessions<M>>,
-        /// Per-inbound-link fault filters (`None` off-plan and at `me`).
-        filters: Vec<Option<LinkFilter>>,
+        /// Fault filters and reliable sessions of every link (reactor-owned;
+        /// the node loop never touches sequence numbers).
+        end: LinkEnd<M>,
+        /// Origin of the endpoint's time axis.
+        epoch: Instant,
         extra: Duration,
         connect_deadline: Instant,
         counters: NetCounters,
-        slot: Arc<Mutex<NetCounters>>,
+        slot: Arc<Mutex<PortStats>>,
         /// Reusable encode scratch (one frame at a time).
         buf: Vec<u8>,
         /// Reusable decode scratch (frame body, tag at `[0]`).
@@ -253,7 +230,14 @@ mod imp {
             // `clone_from`, not assignment: reuses the slot's `by_kind`
             // allocation, keeping the once-per-iteration publish free of
             // heap traffic.
-            g.clone_from(&self.counters);
+            g.net.clone_from(&self.counters);
+            g.faults = self.end.faults();
+            g.reliability = self.end.reliability();
+        }
+
+        /// Now on the endpoint's time axis.
+        fn now(&self) -> Time {
+            Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
         }
 
         /// The earliest pending deadline — RTOs, connect retries, the
@@ -271,9 +255,11 @@ mod imp {
                 }
             }
             if self.draining.is_none() {
-                if let Some(s) = &self.sess {
-                    for t in s.deadline.iter().flatten() {
-                        fold(*t);
+                // Idle sessions keep their timer in flight until it fires
+                // (the endpoint's rule) but have no deadline to wake for.
+                for (peer, c) in self.conns.iter().enumerate() {
+                    if let Some(t) = self.end.deadline(peer).filter(|_| !c.dead) {
+                        fold(self.epoch + t.to_std());
                     }
                 }
             }
@@ -299,7 +285,7 @@ mod imp {
         fn drain_cmds(&mut self) {
             while let Ok(cmd) = self.cmds.try_recv() {
                 match cmd {
-                    Cmd::Send { to, msg } => self.queue_data(to, &msg),
+                    Cmd::Send { to, msg } => self.queue_data(to, msg),
                     Cmd::Done => self.queue_ctrl(0, TAG_DONE, "Done"),
                     Cmd::Shutdown => {
                         for peer in 0..self.n {
@@ -319,33 +305,14 @@ mod imp {
         /// framing + piggybacked ack when reliability is on).  The bytes
         /// ride the next flush — possibly sharing a `write(2)` with every
         /// other frame queued to `to` this iteration.
-        fn queue_data(&mut self, to: NodeId, msg: &M) {
+        fn queue_data(&mut self, to: NodeId, msg: M) {
             if to == self.me || self.conns[to].dead {
                 return;
             }
-            begin_frame(&mut self.buf);
-            let (tag, label) = match self.sess.as_mut() {
-                None => {
-                    msg.encode(&mut self.buf);
-                    (TAG_MSG, "Msg")
-                }
-                Some(s) => {
-                    let now = s.now();
-                    let seq = s.tx[to].send(msg, now);
-                    // Piggybacking consumes the owed flag: no standalone
-                    // ack will follow for what this frame already carries.
-                    let ack = s.rx[to].piggyback();
-                    self.buf.extend_from_slice(&seq.to_le_bytes());
-                    self.buf.extend_from_slice(&ack.to_le_bytes());
-                    msg.encode(&mut self.buf);
-                    if s.deadline[to].is_none() {
-                        s.deadline[to] =
-                            Some(Instant::now() + s.tx[to].rto_delay(&s.cfg).to_std());
-                    }
-                    (TAG_RDATA, "RData")
-                }
-            };
-            end_frame(&mut self.buf, tag);
+            let now = self.now();
+            let packet = self.end.send(to, msg, now);
+            self.end.arm(to, now);
+            let label = encode_packet(&mut self.buf, &packet);
             self.conns[to].wbuf.queue(&self.buf);
             self.counters.frames_out += 1;
             self.counters.by_kind.bump(label, 1);
@@ -372,73 +339,49 @@ mod imp {
                     self.start_connect(peer);
                 }
             }
-            let Reactor { sess, conns, buf, counters, .. } = self;
-            let Some(s) = sess.as_mut() else {
-                return;
-            };
-            let now = s.now();
-            let Sessions { cfg, epoch, tx, rx, deadline } = s;
-            for (peer, dl) in deadline.iter_mut().enumerate() {
-                if !dl.is_some_and(|d| d <= wall) {
+            let now = self.now();
+            let Reactor { end, conns, buf, counters, .. } = self;
+            for (peer, c) in conns.iter_mut().enumerate() {
+                if c.dead || !end.deadline(peer).is_some_and(|t| t <= now) {
                     continue;
                 }
-                if !conns[peer].connected {
+                if !c.connected {
                     // The link is still forming (connect retry, handshake
                     // in flight): every frame is parked locally, nothing
                     // can have been lost yet.  Firing the RTO here would
                     // queue a duplicate copy of the whole unacked window
                     // per expiry — pure wbuf growth and bogus retransmit
-                    // counts on a perfect link.  Defer without touching
-                    // the session's backoff state.
-                    *dl = Some(wall + tx[peer].rto_delay(cfg).to_std());
+                    // counts on a perfect link.  Restart the clocks
+                    // instead.
+                    end.link_up(peer, now);
                     continue;
                 }
-                match tx[peer].on_rto(now, cfg) {
-                    RtoVerdict::Idle => *dl = None,
-                    RtoVerdict::Rearm(at) => *dl = Some(*epoch + at.to_std()),
-                    RtoVerdict::Retransmit(_) => {
-                        counters.rto_fires += 1;
-                        // Re-ack without consuming the owed flag: a
-                        // retransmission is not fresh inbound data, so it
-                        // must not suppress a standalone ack the peer may
-                        // still need.
-                        let ack = rx[peer].cum();
-                        if !conns[peer].dead {
-                            for (seq, msg) in tx[peer].unacked() {
-                                begin_frame(buf);
-                                buf.extend_from_slice(&seq.to_le_bytes());
-                                buf.extend_from_slice(&ack.to_le_bytes());
-                                msg.encode(buf);
-                                end_frame(buf, TAG_RDATA);
-                                conns[peer].wbuf.queue(buf);
-                                counters.retransmit_frames += 1;
-                                counters.by_kind.bump("RData", 1);
-                            }
-                        }
-                        *dl = Some(wall + tx[peer].rto_delay(cfg).to_std());
-                    }
+                let mut fired = false;
+                end.on_rto(peer, now, |packet| {
+                    encode_packet(buf, &packet);
+                    c.wbuf.queue(buf);
+                    counters.retransmit_frames += 1;
+                    counters.by_kind.bump("RData", 1);
+                    fired = true;
+                });
+                if fired {
+                    counters.rto_fires += 1;
                 }
             }
         }
 
-        /// Flush owed session acks: at most **one** standalone
-        /// [`TAG_RACK`] per peer per iteration, and none at all when a
-        /// data frame queued this pass already piggybacked it (its
-        /// [`RxBatch::piggyback`] consumed the flag), rather than one ack
+        /// Flush owed session acks: at most **one** standalone ack frame
+        /// per peer per iteration, and none at all when a data frame
+        /// queued this pass already piggybacked it, rather than one ack
         /// per data frame.
         fn queue_owed_acks(&mut self) {
-            let Reactor { sess, conns, buf, counters, .. } = self;
-            let Some(s) = sess.as_mut() else {
-                return;
-            };
+            let Reactor { end, conns, buf, counters, .. } = self;
             for (peer, c) in conns.iter_mut().enumerate() {
                 if c.dead {
                     continue;
                 }
-                if let Some(ack) = s.rx[peer].take_owed() {
-                    begin_frame(buf);
-                    buf.extend_from_slice(&ack.to_le_bytes());
-                    end_frame(buf, TAG_RACK);
+                if let Some(ack) = end.take_ack(peer) {
+                    encode_packet(buf, &ack);
                     c.wbuf.queue(buf);
                     counters.ack_frames += 1;
                     counters.by_kind.bump("RAck", 1);
@@ -493,7 +436,8 @@ mod imp {
                     }
                     c.connected = true;
                     c.want_write = want;
-                    self.session_link_up(peer);
+                    let now = self.now();
+                    self.end.link_up(peer, now);
                 }
                 Ok(Some(e)) | Err(e) => {
                     if let Some(s) = self.conns[peer].stream.take() {
@@ -627,22 +571,8 @@ mod imp {
             c.stream = Some(p.stream);
             c.connected = true;
             c.want_write = want;
-            self.session_link_up(id);
-        }
-
-        /// The transport to `peer` just became usable: restart the RTO
-        /// clocks of any frames that were queued (and session-stamped)
-        /// while the link was still forming — their first copies only
-        /// now get a wire to ride.
-        fn session_link_up(&mut self, peer: NodeId) {
-            if let Some(s) = self.sess.as_mut() {
-                if s.tx[peer].has_unacked() {
-                    let now = s.now();
-                    s.tx[peer].link_up(now);
-                    s.deadline[peer] =
-                        Some(Instant::now() + s.tx[peer].rto_delay(&s.cfg).to_std());
-                }
-            }
+            let now = self.now();
+            self.end.link_up(id, now);
         }
 
         /// Service a readable connection: reads into the incremental
@@ -709,109 +639,41 @@ mod imp {
         }
 
         /// Process one decoded frame (body in `self.scratch`, tag at
-        /// `[0]`).  Returns false when the link must die — mode-mismatched
-        /// or unknown tags and undecodable payloads.
+        /// `[0]`).  Returns false when the link must die — unknown tags,
+        /// undecodable payloads, and session framing that does not match
+        /// this node's (one end reliable, the other not).
         fn handle_frame(&mut self, peer: NodeId, tag: u8) -> bool {
             // The wire is tallied before the fault filter — these numbers
             // describe what arrived, not what was delivered.
             self.counters.frames_in += 1;
             self.counters.bytes_in += self.scratch.len() as u64 + 4;
-            let reliable = self.sess.is_some();
             match tag {
-                TAG_MSG if !reliable => {
-                    let Ok(msg) = M::from_bytes(&self.scratch[1..]) else {
-                        return false;
-                    };
-                    // Drop verdicts lose the frame here (the wire-level
-                    // loss point); duplicate verdicts are absorbed — TCP
-                    // already delivered exactly once (see `MeshConfig`).
-                    if let Some(f) = self.filters[peer].as_mut() {
-                        if f.next_fate() == FrameFate::Drop {
-                            return true;
-                        }
-                    }
-                    let _ = self.up.send(Up::Msg {
-                        from: peer,
-                        deliver_at: Instant::now() + self.extra,
-                        msg,
-                    });
-                    true
-                }
-                TAG_RDATA if reliable => {
-                    let fate = self.filters[peer]
-                        .as_mut()
-                        .map_or(FrameFate::Deliver, LinkFilter::next_fate);
-                    if fate == FrameFate::Drop {
-                        return true;
-                    }
-                    let Ok((seq, ack, body)) = split_rdata(&self.scratch[1..]) else {
-                        return false;
-                    };
-                    let Ok(msg) = M::from_bytes(body) else {
-                        return false;
-                    };
-                    // A duplicate verdict replays the frame immediately
-                    // behind the original; session dedup absorbs it.
-                    let copies = if fate == FrameFate::Duplicate { 2 } else { 1 };
-                    for _ in 0..copies {
-                        self.session_data(peer, seq, ack, msg.clone());
-                    }
-                    true
-                }
-                TAG_RACK if reliable => {
-                    let fate = self.filters[peer]
-                        .as_mut()
-                        .map_or(FrameFate::Deliver, LinkFilter::next_fate);
-                    if fate == FrameFate::Drop {
-                        return true;
-                    }
-                    let Ok(ack) = split_rack(&self.scratch[1..]) else {
-                        return false;
-                    };
-                    // Cumulative acks are idempotent — a Duplicate verdict
-                    // needs no second application.
-                    self.session_ack(peer, ack);
-                    true
-                }
                 TAG_DONE => {
                     let _ = self.up.send(Up::Done);
-                    true
                 }
                 TAG_SHUTDOWN => {
                     let _ = self.up.send(Up::Shutdown);
-                    true
                 }
-                _ => false,
-            }
-        }
-
-        fn session_data(&mut self, peer: NodeId, seq: u64, ack: u64, msg: M) {
-            let s = self.sess.as_mut().expect("rdata without reliability");
-            // Piggybacked ack first, then the receive window.  Accepting
-            // marks the ack owed; `queue_owed_acks` (or the piggyback of
-            // the next outbound frame) settles it before the next flush.
-            s.tx[peer].ack(ack);
-            if !s.tx[peer].has_unacked() {
-                s.deadline[peer] = None;
-            }
-            match s.rx[peer].accept(seq) {
-                RxVerdict::Deliver => {
-                    let _ = self.up.send(Up::Msg {
-                        from: peer,
-                        deliver_at: Instant::now() + self.extra,
-                        msg,
-                    });
+                _ => {
+                    // Decode, then filter: a frame consumes its link's
+                    // fault verdict inside the endpoint, whatever its tag.
+                    let Ok(packet) = decode_packet(tag, &self.scratch[1..]) else {
+                        return false;
+                    };
+                    // Session framing must match on both ends.
+                    if matches!(packet, Packet::Plain(_)) == self.end.reliable() {
+                        return false;
+                    }
+                    if let Recv::Deliver(msg) = self.end.receive(peer, packet) {
+                        let _ = self.up.send(Up::Msg {
+                            from: peer,
+                            deliver_at: Instant::now() + self.extra,
+                            msg,
+                        });
+                    }
                 }
-                RxVerdict::Stale | RxVerdict::Gap => {}
             }
-        }
-
-        fn session_ack(&mut self, peer: NodeId, ack: u64) {
-            let s = self.sess.as_mut().expect("rack without reliability");
-            s.tx[peer].ack(ack);
-            if !s.tx[peer].has_unacked() {
-                s.deadline[peer] = None;
-            }
+            true
         }
 
         /// Write every connection's queued bytes — one `write(2)` per
@@ -893,7 +755,7 @@ mod imp {
         up: mpsc::Receiver<Up<M>>,
         wake_tx: UnixStream,
         woken: Arc<AtomicBool>,
-        slot: Arc<Mutex<NetCounters>>,
+        slot: Arc<Mutex<PortStats>>,
         metrics: bool,
         handle: Option<std::thread::JoinHandle<()>>,
     }
@@ -910,7 +772,7 @@ mod imp {
         /// Snapshot of the reactor's transport counters (refreshed every
         /// reactor iteration; final totals once the port has dropped).
         pub fn counters(&self) -> NetCounters {
-            self.slot.lock().unwrap_or_else(|e| e.into_inner()).clone()
+            self.slot.lock().unwrap_or_else(|e| e.into_inner()).net.clone()
         }
 
         fn wait(&mut self, deadline: Option<Instant>) -> PortEvent<M> {
@@ -1022,17 +884,14 @@ mod imp {
         let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<M>>();
         let (up_tx, up_rx) = mpsc::channel::<Up<M>>();
         let woken = Arc::new(AtomicBool::new(false));
-        let slot = cfg
-            .counters_slot
-            .clone()
-            .unwrap_or_else(|| Arc::new(Mutex::new(NetCounters::default())));
-        let filters = (0..n)
-            .map(|peer| {
-                (peer != me)
-                    .then(|| cfg.faults.as_ref().map(|plan| LinkFilter::new(plan, peer, me, n)))
-                    .flatten()
-            })
-            .collect();
+        let slot = cfg.counters_slot.clone().unwrap_or_default();
+        let mut end = LinkEnd::new(me, n);
+        if let Some(plan) = &cfg.faults {
+            end.install_faults(plan);
+        }
+        if let Some(rel) = cfg.reliability {
+            end.enable_reliability(rel);
+        }
         let conns = (0..n)
             .map(|peer| PeerConn {
                 stream: None,
@@ -1056,8 +915,8 @@ mod imp {
             up: up_tx,
             conns,
             pending: Vec::new(),
-            sess: cfg.reliability.map(|r| Sessions::new(r, n)),
-            filters,
+            end,
+            epoch: Instant::now(),
             extra: cfg.extra_latency.to_std(),
             connect_deadline: Instant::now() + cfg.connect_timeout,
             counters: NetCounters::default(),
@@ -1136,7 +995,8 @@ pub use stub::{connect_reactor_mesh, ReactorPort};
 mod tests {
     use super::*;
     use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
-    use mra_protocol::faults::{FaultPlan, FrameFate, LinkFilter};
+    use mra_protocol::faults::FaultPlan;
+    use mra_protocol::link::{LinkEnd, Packet, Recv};
     use mra_protocol::reliable::Reliability;
     use mra_sim::{NodePort, PortEvent};
     use mra_types::Time;
@@ -1198,9 +1058,10 @@ mod tests {
         // on the simulated substrates.
         let plan = FaultPlan::new(0xC0FFEE).drop_rate(0.3).dup_rate(0.1);
         const FRAMES: u64 = 200;
-        let mut filter = LinkFilter::new(&plan, 0, 1, 2);
+        let mut end: LinkEnd<u64> = LinkEnd::new(1, 2);
+        end.install_faults(&plan);
         let expected = (0..FRAMES)
-            .filter(|_| filter.next_fate() != FrameFate::Drop)
+            .filter(|&k| !matches!(end.receive(0, Packet::Plain(k)), Recv::Drop(_)))
             .count() as u64;
         assert!(expected > 0 && expected < FRAMES, "degenerate plan");
 

@@ -15,8 +15,8 @@
 //!   finished.
 
 use mra_obs::NetCounters;
-use mra_protocol::faults::FaultPlan;
-use mra_protocol::reliable::Reliability;
+use mra_protocol::faults::{FaultPlan, FaultStats};
+use mra_protocol::reliable::{Reliability, ReliabilityStats};
 use mra_types::{NodeId, Time};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -170,14 +170,12 @@ pub struct MeshConfig {
     /// multi-process cluster may start later than this node).
     pub connect_timeout: Duration,
     /// Frame-level fault shim: each inbound link runs the plan's
-    /// deterministic per-link drop filter (`k`-th frame on a link sees the
-    /// same verdict as on the simulated substrates).  What TCP cannot
-    /// reproduce: duplicate frames (the kernel's sequence numbers already
-    /// absorb them, so dup verdicts are ignored here — unlike the
-    /// simulated substrates nothing aggregates per-link counters into
-    /// `RunResult::faults`) and time-based faults (partitions/outages name
-    /// *simulated* instants; a real wire has no such clock).  See
-    /// DESIGN.md §8.
+    /// deterministic per-link drop/duplicate filter inside the node's link
+    /// endpoint (`k`-th frame on a link sees the same verdict as on the
+    /// simulated substrates, and duplicates are absorbed or replayed into
+    /// the session exactly as there).  What TCP cannot reproduce:
+    /// time-based faults (partitions/outages name *simulated* instants; a
+    /// real wire has no such clock).  See DESIGN.md §8.
     ///
     /// **Beware with quota-based runs and reliability off:** protocol
     /// messages lost to a drop filter are gone for good — token-based
@@ -198,11 +196,24 @@ pub struct MeshConfig {
     /// kind, retransmissions, RTO fires) to stderr when the port drops.
     /// Fed by `mra-node --metrics` / `MRA_METRICS=1`.
     pub metrics: bool,
-    /// Where the transport publishes its final [`NetCounters`]: loopback
+    /// Where the transport publishes its final [`PortStats`]: loopback
     /// harnesses hand each node a slot and merge them into the run's
-    /// observability report after the port drops.  The reactor refreshes
-    /// the slot every iteration, so it can be read live.  `None` keeps the counters port-local.
-    pub counters_slot: Option<Arc<Mutex<NetCounters>>>,
+    /// result after the port drops.  The reactor refreshes the slot every
+    /// iteration, so it can be read live.  `None` keeps the counters
+    /// port-local.
+    pub counters_slot: Option<Arc<Mutex<PortStats>>>,
+}
+
+/// What one node's transport did: the wire counters, and its link
+/// endpoint's fault verdicts and session counters.
+#[derive(Clone, Debug, Default)]
+pub struct PortStats {
+    /// Frames, bytes and syscalls per direction and kind.
+    pub net: NetCounters,
+    /// Drop/duplicate verdicts of the inbound fault filters.
+    pub faults: FaultStats,
+    /// The reliable sessions' counters.
+    pub reliability: ReliabilityStats,
 }
 
 impl Default for MeshConfig {

@@ -16,11 +16,12 @@
 //!
 //! **Determinism.** Frame fault decisions are *counter-hashed*, not drawn
 //! from a shared RNG: the verdict for the `k`-th frame sent on directed
-//! link `i → j` is a pure function of `(plan seed, i, j, k)`.  Two
+//! link `i → j` is a pure function of `(plan seed, i, j, k)`, computed by
+//! the receiving node's [`LinkEnd`](crate::link::LinkEnd).  Two
 //! consequences the tests rely on:
 //!
 //! 1. the same seed produces the same per-link drop/duplicate verdict
-//!    sequence on every substrate (`Sim`, `VirtualNet`, the TCP shim),
+//!    sequence on every substrate (`Sim`, `VirtualNet`, the TCP reactor),
 //!    because all three deliver each link FIFO — the `k`-th pop *is* the
 //!    `k`-th send;
 //! 2. installing a plan perturbs no other randomness: the workload and
@@ -31,8 +32,8 @@
 //! this workspace assumes reliable exactly-once FIFO links (the paper's
 //! model); a raw re-delivered token genuinely duplicates a resource and
 //! violates safety — that is a *model* violation, not a protocol bug.  The
-//! fault layer therefore emulates what TCP's sequence numbers do on a real
-//! wire: a duplicated frame consumes bandwidth and is counted
+//! link endpoint therefore emulates what TCP's sequence numbers do on a
+//! real wire: a duplicated frame consumes bandwidth and is counted
 //! ([`FaultStats::duplicated`] / [`FaultStats::deduped`]) but the protocol
 //! handler sees the message exactly once.  Drops model loss *above* any
 //! retransmission horizon (connection reset, switch reboot) and are
@@ -235,18 +236,6 @@ impl FaultPlan {
     }
 }
 
-/// Verdict for one frame on a link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FrameFate {
-    /// Deliver normally.
-    Deliver,
-    /// Lose the frame.
-    Drop,
-    /// Deliver once; a duplicate copy was sent and absorbed by the dedup
-    /// layer (counted, never handed to the protocol — see module docs).
-    Duplicate,
-}
-
 /// Counters describing what a fault layer actually did during a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
@@ -270,8 +259,8 @@ impl FaultStats {
         self.dropped_link + self.dropped_partition + self.dropped_crash
     }
 
-    /// Fold another counter set into this one — used by sharded engines
-    /// that keep one fault layer per shard and aggregate at the end.
+    /// Fold another counter set into this one — engines sum their nodes'
+    /// link endpoints and their outage/partition windows with it.
     pub fn absorb(&mut self, other: &FaultStats) {
         self.dropped_link += other.dropped_link;
         self.dropped_partition += other.dropped_partition;
@@ -282,109 +271,29 @@ impl FaultStats {
     }
 }
 
-/// splitmix64 finalizer: a statistically solid pure mix.
-#[inline]
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Map a hash to a unit float in `[0, 1)`.
-#[inline]
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-const SALT_DROP: u64 = 0xD20_0001;
-const SALT_DUP: u64 = 0xD0B_0002;
-
-/// The verdict for the `k`-th frame on `link` under `seed` — the pure
-/// decision function shared by every substrate.
-#[inline]
-pub fn frame_fate(seed: u64, link: u64, k: u64, faults: &LinkFaults) -> FrameFate {
-    if faults.drop > 0.0 {
-        let h = mix(seed ^ SALT_DROP ^ link.rotate_left(32) ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if unit(h) < faults.drop {
-            return FrameFate::Drop;
-        }
-    }
-    if faults.dup > 0.0 {
-        let h = mix(seed ^ SALT_DUP ^ link.rotate_left(32) ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        if unit(h) < faults.dup {
-            return FrameFate::Duplicate;
-        }
-    }
-    FrameFate::Deliver
-}
-
-/// Per-link fault filter for substrates that own one link at a time (the
-/// TCP reader threads).  Carries its own frame counter.
-#[derive(Clone, Debug)]
-pub struct LinkFilter {
-    seed: u64,
-    link: u64,
-    faults: LinkFaults,
-    k: u64,
-}
-
-impl LinkFilter {
-    /// Filter for the directed link `from → to` of an `n`-node system.
-    pub fn new(plan: &FaultPlan, from: NodeId, to: NodeId, n: usize) -> Self {
-        LinkFilter {
-            seed: plan.seed,
-            link: (from * n + to) as u64,
-            faults: plan.link_faults(from, to),
-            k: 0,
-        }
-    }
-
-    /// Verdict for the next frame on this link.
-    #[inline]
-    pub fn next_fate(&mut self) -> FrameFate {
-        let k = self.k;
-        self.k += 1;
-        frame_fate(self.seed, self.link, k, &self.faults)
-    }
-
-    /// Frames seen so far.
-    pub fn frames(&self) -> u64 {
-        self.k
-    }
-}
-
-/// What an engine should do with a popped delivery.
+/// What the outage and partition windows do to a frame popped for
+/// delivery.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Admit {
-    /// Hand the message to the protocol.
+    /// Pass the frame on to the receiver's link endpoint.
     Deliver,
-    /// Deliver, *and* a duplicate copy follows on the wire.  Only surfaced
-    /// by [`FaultState::admit_wire`] (session-layer mode, where the
-    /// receiver's dedup window absorbs the copy); [`FaultState::admit`]
-    /// folds it into [`Admit::Deliver`] and counts the absorption itself.
-    Duplicate,
-    /// The message is lost (already counted in the stats).
+    /// The frame is lost (already counted in the stats).
     Drop,
     /// The receiver is paused: re-schedule delivery at the given instant.
     Defer(Time),
 }
 
-/// Runtime fault state for engines that own *all* links (`Sim`,
-/// `VirtualNet`): the plan resolved into dense per-link tables plus one
-/// frame counter per link, and the running [`FaultStats`].
+/// The plan's time windows — partitions and node outages — for the
+/// simulator, which alone has the virtual clock they name, plus the
+/// [`FaultStats`] they cause.  Probabilistic per-link verdicts belong to
+/// the receiving node's [`LinkEnd`](crate::link::LinkEnd).
 ///
-/// All allocation happens at construction; the per-frame decision path is
-/// pure arithmetic over the pre-sized tables (the simulator's zero-alloc
-/// guard runs with a plan installed).
+/// All allocation happens at construction; the per-frame checks are pure
+/// scans over the pre-sized windows (the simulator's zero-alloc guard
+/// runs with a plan installed).
 #[derive(Clone, Debug)]
 pub struct FaultState {
     plan: FaultPlan,
-    n: usize,
-    /// Resolved faults per directed link (`from * n + to`).
-    links: Vec<LinkFaults>,
-    /// Frame counter per directed link.
-    counters: Vec<u64>,
     /// Partition windows with membership masks (`mask[node]`).
     partitions: Vec<(Vec<bool>, Time, Time)>,
     /// Outage windows per node.
@@ -399,12 +308,6 @@ impl FaultState {
     /// # Panics
     /// If the plan names a node `>= n`.
     pub fn new(plan: FaultPlan, n: usize) -> Self {
-        for (f, t, _) in &plan.overrides {
-            assert!(*f < n && *t < n, "link override ({f},{t}) outside 0..{n}");
-        }
-        let links = (0..n * n)
-            .map(|l| plan.link_faults(l / n, l % n))
-            .collect();
         let partitions = plan
             .partitions
             .iter()
@@ -424,9 +327,6 @@ impl FaultState {
         }
         FaultState {
             plan,
-            n,
-            links,
-            counters: vec![0; n * n],
             partitions,
             outages,
             stats: FaultStats::default(),
@@ -463,56 +363,11 @@ impl FaultState {
             })
     }
 
-    /// Probabilistic verdict for the next frame on `from → to` (bumps the
-    /// link's frame counter and the drop/duplicated stats).  A
-    /// [`FrameFate::Duplicate`] is counted as *duplicated on the wire*
-    /// only; whoever absorbs the copy — this state's [`FaultState::admit`]
-    /// in perfect-link mode, or the reliable session layer's dedup window —
-    /// accounts for the absorption ([`FaultStats::deduped`] /
-    /// `ReliabilityStats::dup_dropped`).
-    #[inline]
-    pub fn fate(&mut self, from: NodeId, to: NodeId) -> FrameFate {
-        let link = from * self.n + to;
-        let k = self.counters[link];
-        self.counters[link] += 1;
-        let fate = frame_fate(self.plan.seed, link as u64, k, &self.links[link]);
-        match fate {
-            FrameFate::Drop => self.stats.dropped_link += 1,
-            FrameFate::Duplicate => self.stats.duplicated += 1,
-            FrameFate::Deliver => {}
-        }
-        fate
-    }
-
-    /// Record a wire duplicate as absorbed by this fault layer (perfect-link
-    /// mode, where no session layer exists to re-deliver it).
-    #[inline]
-    pub fn note_dedup(&mut self) {
-        self.stats.deduped += 1;
-    }
-
-    /// Full admission decision for a message popped for delivery at `at`:
-    /// outage handling first (pause defers, crash drops), then partitions,
-    /// then the probabilistic per-link verdict.  All counting happens here;
-    /// duplicate verdicts are absorbed (the paper's perfect-link model has
-    /// no duplicates to show the protocol).
+    /// The window verdict for a frame on `from → to` popped at `at`:
+    /// outages first (pause defers, crash drops), then partitions.  All
+    /// counting happens here.
     #[inline]
     pub fn admit(&mut self, from: NodeId, to: NodeId, at: Time) -> Admit {
-        match self.admit_wire(from, to, at) {
-            Admit::Duplicate => {
-                self.note_dedup();
-                Admit::Deliver
-            }
-            other => other,
-        }
-    }
-
-    /// Like [`FaultState::admit`], but surfaces duplicate verdicts as
-    /// [`Admit::Duplicate`] so a session-layer engine can put the extra
-    /// copy on the wire and let the receive-side dedup window absorb it —
-    /// the *real* channel model instead of the emulated one.
-    #[inline]
-    pub fn admit_wire(&mut self, from: NodeId, to: NodeId, at: Time) -> Admit {
         if let Some((kind, until)) = self.outage(to, at) {
             match kind {
                 OutageKind::Pause => {
@@ -529,11 +384,7 @@ impl FaultState {
             self.stats.dropped_partition += 1;
             return Admit::Drop;
         }
-        match self.fate(from, to) {
-            FrameFate::Drop => Admit::Drop,
-            FrameFate::Deliver => Admit::Deliver,
-            FrameFate::Duplicate => Admit::Duplicate,
-        }
+        Admit::Deliver
     }
 }
 
@@ -542,49 +393,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fate_is_deterministic_and_counter_indexed() {
-        let faults = LinkFaults { drop: 0.3, dup: 0.2 };
-        let a: Vec<FrameFate> = (0..200).map(|k| frame_fate(7, 5, k, &faults)).collect();
-        let b: Vec<FrameFate> = (0..200).map(|k| frame_fate(7, 5, k, &faults)).collect();
-        assert_eq!(a, b);
-        let c: Vec<FrameFate> = (0..200).map(|k| frame_fate(8, 5, k, &faults)).collect();
-        assert_ne!(a, c, "different seeds must give different verdicts");
-        assert!(a.contains(&FrameFate::Drop));
-        assert!(a.contains(&FrameFate::Duplicate));
-        assert!(a.contains(&FrameFate::Deliver));
-    }
-
-    #[test]
-    fn drop_frequency_tracks_probability() {
-        let faults = LinkFaults { drop: 0.2, dup: 0.0 };
-        let drops = (0..10_000)
-            .filter(|&k| frame_fate(42, 3, k, &faults) == FrameFate::Drop)
-            .count();
-        assert!((1_700..2_300).contains(&drops), "got {drops} drops");
-    }
-
-    #[test]
-    fn filter_matches_state_per_link() {
-        let plan = FaultPlan::new(99).drop_rate(0.25).dup_rate(0.1);
-        let n = 4;
-        let mut state = FaultState::new(plan.clone(), n);
-        let mut filter = LinkFilter::new(&plan, 1, 2, n);
-        for _ in 0..500 {
-            assert_eq!(state.fate(1, 2), filter.next_fate());
-        }
-        assert_eq!(filter.frames(), 500);
-    }
-
-    #[test]
     fn overrides_take_precedence() {
         let plan = FaultPlan::new(1)
             .drop_rate(0.0)
             .link_override(0, 1, LinkFaults { drop: 1.0, dup: 0.0 });
         assert_eq!(plan.link_faults(0, 1).drop, 1.0);
         assert_eq!(plan.link_faults(1, 0).drop, 0.0);
-        let mut state = FaultState::new(plan, 2);
-        assert_eq!(state.fate(0, 1), FrameFate::Drop);
-        assert_eq!(state.fate(1, 0), FrameFate::Deliver);
     }
 
     #[test]
@@ -665,19 +479,5 @@ mod tests {
             .partition(vec![0], Time::ZERO, Time::from_secs(1))
             .crash(1, Time::ZERO, Time::from_secs(1))
             .is_recoverable());
-    }
-
-    #[test]
-    fn admit_absorbs_duplicates_admit_wire_surfaces_them() {
-        let plan = FaultPlan::new(5).dup_rate(1.0);
-        let at = Time::from_millis(1);
-        let mut absorb = FaultState::new(plan.clone(), 2);
-        assert_eq!(absorb.admit(0, 1, at), Admit::Deliver);
-        assert_eq!(absorb.stats.duplicated, 1);
-        assert_eq!(absorb.stats.deduped, 1);
-        let mut wire = FaultState::new(plan, 2);
-        assert_eq!(wire.admit_wire(0, 1, at), Admit::Duplicate);
-        assert_eq!(wire.stats.duplicated, 1);
-        assert_eq!(wire.stats.deduped, 0, "the session layer absorbs it");
     }
 }

@@ -17,6 +17,7 @@
 //!    the [`wire`] codecs to put messages on an actual wire.
 
 pub mod faults;
+pub mod link;
 pub mod reliable;
 pub mod testkit;
 pub mod wire;

@@ -10,8 +10,9 @@
 //! makes it ideal for exploring protocol corner cases that a timed simulator
 //! would rarely hit.
 
-use crate::faults::{FaultPlan, FaultState, FaultStats, FrameFate};
-use crate::reliable::{Packet, Reliability, ReliabilityStats, ReliableState};
+use crate::faults::{FaultPlan, FaultStats};
+use crate::link::{LinkEnd, Packet, Recv};
+use crate::reliable::{Reliability, ReliabilityStats};
 use crate::{Allocator, Ctx, ProcState, WireMsg};
 use mra_obs::{EngineTracer, EventKind, ObsReport, TraceMode};
 use mra_types::{NodeId, ResourceSet, Time};
@@ -203,6 +204,8 @@ impl Allocator for EchoProbe {
 struct Slot<A: Allocator> {
     proto: A,
     ctx: Ctx<A::Msg>,
+    /// The node's link endpoint (fault filter + reliable session).
+    link: LinkEnd<A::Msg>,
     /// The resource set of the outstanding request, if any.
     pending: Option<ResourceSet>,
 }
@@ -219,10 +222,9 @@ pub struct VirtualNet<A: Allocator> {
     n: usize,
     steps: u64,
     delivered: u64,
-    /// Installed fault layer, if any (queue-pop injection).
-    faults: Option<FaultState>,
-    /// Installed reliable-delivery session layer, if any.
-    reliable: Option<ReliableState<A::Msg>>,
+    /// Installed fault plan, if any (its per-link filters run inside the
+    /// receivers' link endpoints, at queue pop).
+    plan: Option<FaultPlan>,
     /// Causal tracer; a disarmed no-op unless [`VirtualNet::arm_tracing`]
     /// was called.  Keys events by the step counter (the network's only
     /// clock).
@@ -242,6 +244,7 @@ impl<A: Allocator> VirtualNet<A> {
             .map(|(i, proto)| Slot {
                 proto,
                 ctx: Ctx::new(i, n),
+                link: LinkEnd::new(i, n),
                 pending: None,
             })
             .collect();
@@ -250,8 +253,7 @@ impl<A: Allocator> VirtualNet<A> {
             n,
             steps: 0,
             delivered: 0,
-            faults: None,
-            reliable: None,
+            plan: None,
             tracer: EngineTracer::disarmed(),
             monitor: SafetyMonitor::new(n, m),
             slots: Vec::new(),
@@ -311,7 +313,10 @@ impl<A: Allocator> VirtualNet<A> {
     /// per-link drop/duplicate filter (time-based faults — partitions,
     /// outages — do not apply here: the virtual network has no clock).
     pub fn install_faults(&mut self, plan: &FaultPlan) {
-        self.faults = Some(FaultState::new(plan.clone(), self.n));
+        for slot in &mut self.slots {
+            slot.link.install_faults(plan);
+        }
+        self.plan = Some(plan.clone());
     }
 
     /// Arm causal tracing.  Events are keyed by the step counter — the
@@ -330,12 +335,10 @@ impl<A: Allocator> VirtualNet<A> {
         for (l, queue) in self.links.iter_mut().enumerate() {
             let (src, dst) = (l / self.n, l % self.n);
             for (stamp, packet) in queue.iter_mut() {
-                let msg = match packet {
-                    Packet::Plain(msg) => msg,
-                    Packet::Data { msg, .. } => msg,
-                    Packet::Ack { .. } => continue, // acks stay untraced
-                };
-                *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32, None);
+                // Standalone acks stay untraced.
+                if let Some(msg) = packet.msg() {
+                    *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32, None);
+                }
             }
         }
     }
@@ -349,12 +352,16 @@ impl<A: Allocator> VirtualNet<A> {
 
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref().map(|f| f.plan())
+        self.plan.as_ref()
     }
 
     /// Fault counters accumulated so far (zero when no plan is installed).
     pub fn fault_stats(&self) -> FaultStats {
-        self.faults.as_ref().map(|f| f.stats).unwrap_or_default()
+        let mut acc = FaultStats::default();
+        for slot in &self.slots {
+            acc.absorb(&slot.link.faults());
+        }
+        acc
     }
 
     /// Enable the reliable-delivery session layer: every subsequent send is
@@ -364,29 +371,31 @@ impl<A: Allocator> VirtualNet<A> {
     /// FIFO delivery.  Messages already in flight (e.g. `on_init` token
     /// placement) are retroactively sequenced so they are protected too.
     pub fn enable_reliability(&mut self, cfg: Reliability) {
-        assert!(self.reliable.is_none(), "reliability enabled twice");
-        let mut st = ReliableState::new(cfg, self.n);
+        for slot in &mut self.slots {
+            slot.link.enable_reliability(cfg);
+        }
         for (l, queue) in self.links.iter_mut().enumerate() {
             let (src, dst) = (l / self.n, l % self.n);
             for (_, packet) in queue.iter_mut() {
                 if let Packet::Plain(msg) = packet {
-                    let (seq, ack) = st.on_send(src, dst, msg, Time::ZERO);
-                    let msg = msg.clone();
-                    *packet = Packet::Data { seq, ack, msg };
+                    *packet = self.slots[src].link.send(dst, msg.clone(), Time::ZERO);
                 }
             }
         }
-        self.reliable = Some(st);
     }
 
     /// Is the session layer installed?
     pub fn reliability_on(&self) -> bool {
-        self.reliable.is_some()
+        self.slots.first().is_some_and(|s| s.link.reliable())
     }
 
     /// Session-layer counters accumulated so far (zero when disabled).
     pub fn reliability_stats(&self) -> ReliabilityStats {
-        self.reliable.as_ref().map(|r| r.stats).unwrap_or_default()
+        let mut acc = ReliabilityStats::default();
+        for slot in &self.slots {
+            acc.absorb(&slot.link.reliability());
+        }
+        acc
     }
 
     /// Re-enqueue every unacknowledged session frame on its link — the
@@ -397,23 +406,21 @@ impl<A: Allocator> VirtualNet<A> {
     /// frame through.  Returns the number of frames re-enqueued (0 when
     /// reliability is off or everything is acked).
     pub fn retransmit_all(&mut self) -> usize {
-        let Some(st) = self.reliable.as_mut() else {
-            return 0;
-        };
         let links = &mut self.links;
         let tracer = &mut self.tracer;
         let n = self.n;
-        st.retransmit_all(|from, to, packet| {
-            // Each re-emitted copy is a distinct wire event: it gets a
-            // fresh stamp (matching the simulator's RTO path).
-            let stamp = match &packet {
-                Packet::Data { msg, .. } => {
+        let mut count = 0;
+        for (from, slot) in self.slots.iter_mut().enumerate() {
+            count += slot.link.retransmit_all(|to, packet| {
+                // Each re-emitted copy is a distinct wire event: it gets a
+                // fresh stamp (matching the simulator's RTO path).
+                let stamp = packet.msg().map_or(0, |msg| {
                     tracer.on_retransmit(from, to, msg.kind(), msg.weight() as u32)
-                }
-                _ => 0,
-            };
-            links[from * n + to].push_back((stamp, packet));
-        })
+                });
+                links[from * n + to].push_back((stamp, packet));
+            });
+        }
+        count
     }
 
     /// Issue a request for `set` from node `i`.
@@ -478,90 +485,37 @@ impl<A: Allocator> VirtualNet<A> {
     fn deliver_from_link(&mut self, link: usize) {
         let (stamp, packet) = self.links[link].pop_front().expect("link not empty");
         let (src, dst) = (link / self.n, link % self.n);
-        // A wire duplicate is a one-off copy arriving right behind the
-        // original; it does not re-enter the fault filter (a copy of a
-        // copy would otherwise cascade at high dup rates).  In session
-        // mode it reaches the receiver and the dedup window absorbs it —
-        // processed inline after the original below.
-        let mut dup_copy = false;
-        if let Some(fs) = self.faults.as_mut() {
-            match fs.fate(src, dst) {
-                // Lost on the wire: the pop consumed it, nobody sees it.
-                FrameFate::Drop => {
-                    let tag = match &packet {
-                        Packet::Plain(msg) | Packet::Data { msg, .. } => msg.kind(),
-                        Packet::Ack { .. } => "RAck",
-                    };
-                    self.tracer.on_fault(dst, src, tag, stamp);
-                    return;
+        match self.slots[dst].link.receive(src, packet) {
+            // Lost on the wire: the pop consumed it, nobody sees it.
+            // Standalone acks stay untraced.
+            Recv::Drop(lost) => {
+                if let Some(msg) = lost.msg() {
+                    self.tracer.on_fault(dst, src, msg.kind(), stamp);
                 }
-                FrameFate::Duplicate => {
-                    if self.reliable.is_some() {
-                        dup_copy = true;
-                    } else {
-                        // Perfect-link mode: absorbed here, delivered once.
-                        fs.note_dedup();
-                    }
-                }
-                FrameFate::Deliver => {}
-            }
-        }
-        let msg = match packet {
-            Packet::Plain(msg) => msg,
-            Packet::Data { seq, ack, msg } => {
-                let st = self
-                    .reliable
-                    .as_mut()
-                    .expect("Data frame without a session layer");
-                let deliver = st.on_data(src, dst, seq, ack);
-                if dup_copy {
-                    // The copy is stale by construction (the original just
-                    // advanced — or failed to advance — the window).
-                    st.on_data(src, dst, seq, ack);
-                }
-                // Standalone ack unless the handler's own reply (flushed
-                // inside `after_dispatch` below) piggybacks it first — the
-                // dispatch order makes the piggyback win, so only check
-                // afterwards.
-                if !deliver {
-                    self.queue_pending_ack(src, dst);
-                    return;
-                }
-                msg
-            }
-            Packet::Ack { ack } => {
-                // Duplicated acks are idempotent; apply once.
-                self.reliable
-                    .as_mut()
-                    .expect("Ack frame without a session layer")
-                    .on_ack(src, dst, ack);
                 return;
             }
-        };
-        self.tick();
-        self.delivered += 1;
-        // One dispatch key per delivery; the in-flight count doubles as
-        // the queue-depth sample (the net has no event queue).
-        self.tracer
-            .on_dispatch(Time::from_nanos(self.steps), 0, self.in_flight());
-        self.tracer
-            .on_recv(src, dst, msg.kind(), msg.weight() as u32, stamp);
-        let slot = &mut self.slots[dst];
-        slot.ctx.set_now(Time::from_nanos(self.steps));
-        slot.proto.on_message(&mut slot.ctx, src, msg);
-        self.after_dispatch(dst);
-        self.queue_pending_ack(src, dst);
-    }
-
-    /// If `dst` still owes `src` an ack for the data link `src → dst`
-    /// (nothing piggybacked it), enqueue the standalone ack frame on the
-    /// reverse link.  No-op with reliability off.
-    fn queue_pending_ack(&mut self, src: NodeId, dst: NodeId) {
-        if let Some(st) = self.reliable.as_mut() {
-            if let Some(ack) = st.pending_ack(src, dst) {
-                // Stamp 0: standalone acks are session plumbing, untraced.
-                self.links[dst * self.n + src].push_back((0, Packet::Ack { ack }));
+            Recv::Absorb => {}
+            Recv::Deliver(msg) => {
+                self.tick();
+                self.delivered += 1;
+                // One dispatch key per delivery; the in-flight count
+                // doubles as the queue-depth sample (the net has no event
+                // queue).
+                self.tracer
+                    .on_dispatch(Time::from_nanos(self.steps), 0, self.in_flight());
+                self.tracer
+                    .on_recv(src, dst, msg.kind(), msg.weight() as u32, stamp);
+                let slot = &mut self.slots[dst];
+                slot.ctx.set_now(Time::from_nanos(self.steps));
+                slot.proto.on_message(&mut slot.ctx, src, msg);
+                self.after_dispatch(dst);
             }
+        }
+        // A standalone ack, unless the handler's reply to `src` (flushed
+        // inside `after_dispatch`) piggybacked it.  Stamp 0: session
+        // plumbing stays untraced.
+        if let Some(ack) = self.slots[dst].link.take_ack(src) {
+            self.links[dst * self.n + src].push_back((0, ack));
         }
     }
 
@@ -597,23 +551,11 @@ impl<A: Allocator> VirtualNet<A> {
     fn flush_outbox(&mut self, i: NodeId) {
         // Disjoint field borrows: the outbox drains in place while the
         // link queues are appended — no per-dispatch allocation.
-        let slot = &mut self.slots[i];
-        let links = &mut self.links;
-        let tracer = &mut self.tracer;
-        match self.reliable.as_mut() {
-            None => {
-                for (to, msg) in slot.ctx.drain_outbox() {
-                    let stamp = tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
-                    links[i * self.n + to].push_back((stamp, Packet::Plain(msg)));
-                }
-            }
-            Some(st) => {
-                for (to, msg) in slot.ctx.drain_outbox() {
-                    let stamp = tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
-                    let (seq, ack) = st.on_send(i, to, &msg, Time::ZERO);
-                    links[i * self.n + to].push_back((stamp, Packet::Data { seq, ack, msg }));
-                }
-            }
+        let Slot { ctx, link, .. } = &mut self.slots[i];
+        for (to, msg) in ctx.drain_outbox() {
+            let stamp = self.tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
+            let packet = link.send(to, msg, Time::ZERO);
+            self.links[i * self.n + to].push_back((stamp, packet));
         }
     }
 }
@@ -626,6 +568,7 @@ where
         Slot {
             proto: self.proto.clone(),
             ctx: self.ctx.clone(),
+            link: self.link.clone(),
             pending: self.pending.clone(),
         }
     }
@@ -642,8 +585,7 @@ where
             n: self.n,
             steps: self.steps,
             delivered: self.delivered,
-            faults: self.faults.clone(),
-            reliable: self.reliable.clone(),
+            plan: self.plan.clone(),
             tracer: self.tracer.clone(),
             monitor: self.monitor.clone(),
         }

@@ -138,14 +138,15 @@ pub struct RunResult {
     /// simulator-only).  Purely observational: it never feeds back into
     /// the simulation, so determinism is unaffected.
     pub wall_ns: u64,
-    /// What the fault layer did during the run (all-zero when no
+    /// What the fault layer did during the run, summed over the nodes'
+    /// link endpoints (and, in the simulator, the outage and partition
+    /// windows).  All-zero when no
     /// [`FaultPlan`](mra_protocol::faults::FaultPlan) was installed, and
-    /// under the threaded/TCP runtimes, whose per-link filters are not
-    /// aggregated here).
+    /// under the mpsc threaded runtime, which has no fault layer.
     pub faults: FaultStats,
-    /// What the reliable session layer did during the run (all-zero when
-    /// reliability is off, and under the threaded/TCP runtimes, whose
-    /// per-port sessions are not aggregated here).
+    /// What the reliable session layer did during the run, summed over the
+    /// nodes' link endpoints.  All-zero when reliability is off, and under
+    /// the mpsc threaded runtime, which has no session layer.
     pub reliability: ReliabilityStats,
     /// How many shards the simulator engine ran on (1 for the sequential
     /// path and for the non-simulator runtimes).

@@ -39,7 +39,8 @@ use crate::latency::LatencyModel;
 use crate::metrics::{Collector, RunResult};
 use mra_obs::{EngineTracer, EventKind, ObsReport, TraceLog, TraceMode};
 use mra_protocol::faults::{Admit, FaultPlan, FaultState, FaultStats};
-use mra_protocol::reliable::{Reliability, ReliabilityStats, ReliableState, RtoVerdict};
+use mra_protocol::link::{LinkEnd, Packet, Recv};
+use mra_protocol::reliable::{Reliability, ReliabilityStats};
 use mra_protocol::testkit::SafetyMonitor;
 use mra_protocol::{Allocator, Ctx, WireMsg};
 use mra_types::{NodeId, ResourceSet, Time};
@@ -104,29 +105,18 @@ impl SimConfig {
 }
 
 enum Ev<M> {
-    /// Perfect-link delivery (reliability off).  `stamp` is the sender's
-    /// Lamport stamp when tracing is armed (0 disarmed): riding inside the
-    /// event is what carries causality across shard mailboxes, loss and
-    /// duplication without any side channel.
+    /// One frame arriving on the directed link `from → to`: a protocol
+    /// message (plain, or sequenced with reliability on) or a standalone
+    /// session ack.  `stamp` is the sender's Lamport stamp when tracing is
+    /// armed (0 disarmed, and on acks, which stay untraced): riding inside
+    /// the event is what carries causality across shard mailboxes, loss
+    /// and duplication without any side channel.
     Deliver {
         from: NodeId,
         to: NodeId,
         stamp: u64,
-        msg: M,
+        packet: Packet<M>,
     },
-    /// Session-layer data frame (reliability on): sequenced, carries a
-    /// piggybacked cumulative ack for the reverse direction (and the
-    /// sender's Lamport stamp, like [`Ev::Deliver`]).
-    DeliverData {
-        from: NodeId,
-        to: NodeId,
-        seq: u64,
-        ack: u64,
-        stamp: u64,
-        msg: M,
-    },
-    /// Session-layer standalone cumulative ack.
-    DeliverAck { from: NodeId, to: NodeId, ack: u64 },
     /// Retransmit timer of the directed link `from → to`.
     Rto { from: NodeId, to: NodeId },
     Think { node: NodeId },
@@ -140,9 +130,7 @@ impl<M> Ev<M> {
     #[inline]
     fn executor(&self) -> NodeId {
         match *self {
-            Ev::Deliver { to, .. }
-            | Ev::DeliverData { to, .. }
-            | Ev::DeliverAck { to, .. } => to,
+            Ev::Deliver { to, .. } => to,
             Ev::Rto { from, .. } => from,
             Ev::Think { node } | Ev::CsEnd { node } => node,
         }
@@ -349,6 +337,9 @@ impl<M> EventQueue<M> {
 struct SimNode<A: Allocator, W> {
     proto: A,
     ctx: Ctx<A::Msg>,
+    /// The node's link endpoint: inbound fault filters and one reliable
+    /// session per peer (both empty unless installed).
+    link: LinkEnd<A::Msg>,
     driver: Driver,
     workload: W,
     rng: StdRng,
@@ -385,11 +376,11 @@ struct CsNote {
     elems: Vec<u32>,
 }
 
-/// One worker shard: the nodes `i ≡ id (mod k)`, their event queue, lanes,
-/// clock and per-shard copies of every state the event handlers touch.
-/// Fault link filters are indexed by receiver, session-layer endpoints by
-/// their owning node, so under the executor mapping every access lands on
-/// the shard-local copy and no cross-shard locking is ever needed.
+/// One worker shard: the nodes `i ≡ id (mod k)` with their link
+/// endpoints, their event queue, lanes, clock and a copy of the fault
+/// plan's time windows.  Every event executes at the node whose endpoint
+/// it touches (frames at the receiver, retransmit timers at the sender),
+/// so no cross-shard locking is ever needed.
 struct Shard<A: Allocator, W: Workload> {
     id: usize,
     k: usize,
@@ -400,8 +391,8 @@ struct Shard<A: Allocator, W: Workload> {
     now: Time,
     events: u64,
     horizon_cut: bool,
+    /// Outage and partition windows of the installed fault plan.
     faults: Option<FaultState>,
-    reliable: Option<ReliableState<A::Msg>>,
     collector: Collector,
     /// Online safety monitor — single-shard runs only.
     monitor: Option<SafetyMonitor>,
@@ -492,7 +483,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
         // is the reused buffer) while the queue, lane table and mail
         // buffers are updated — no per-dispatch side buffer, no copies.
         let j = self.local(from);
-        let SimNode { ctx, net_rng, .. } = &mut self.nodes[j];
+        let SimNode { ctx, net_rng, link, .. } = &mut self.nodes[j];
         if !ctx.has_output() {
             // Common case: the handler replied with nothing (counter
             // updates, absorbed tokens).
@@ -506,55 +497,33 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
         let now = self.now;
         let n = self.n;
         let (me, k) = (self.id, self.k);
-        match self.reliable.as_mut() {
-            None => {
-                for (to, msg) in ctx.drain_outbox() {
-                    // `sample` fast-paths deterministic models (the paper's
-                    // γ = const) without touching the RNG.
-                    let lat = latency.sample(from, to, net_rng);
-                    let stamp = tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
-                    let lane = (from * n + to) as u32;
-                    let e = lanes.ent(lane);
-                    // Reliable FIFO links: never deliver before an earlier
-                    // message on the same link (1 ns separation keeps
-                    // strict order even under jittered latency).  The
-                    // `now + 1` floor makes delivery *strictly* after the
-                    // send even under `LatencyModel::Zero`: the canonical
-                    // trace key order `(at, ord)` then respects causality,
-                    // which the per-lane `ord` counters alone cannot
-                    // guarantee for same-instant cross-lane events.
-                    let at = (now + lat)
-                        .max(now + Time::from_nanos(1))
-                        .max(e.last + Time::from_nanos(1));
-                    e.last = at;
-                    let ord = mk_ord(lane, e);
-                    route(me, k, queue, mail, at, ord, Ev::Deliver { from, to, stamp, msg });
-                }
-            }
-            Some(st) => {
-                for (to, msg) in ctx.drain_outbox() {
-                    // Session mode: stamp the frame, retain the retransmit
-                    // copy, piggyback the cumulative ack, and make sure a
-                    // retransmit timer is ticking for this link.
-                    let (seq, ack) = st.on_send(from, to, &msg, now);
-                    let lat = latency.sample(from, to, net_rng);
-                    let stamp = tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
-                    let lane = (from * n + to) as u32;
-                    let e = lanes.ent(lane);
-                    // Same strictly-after-send floor as the unreliable arm.
-                    let at = (now + lat)
-                        .max(now + Time::from_nanos(1))
-                        .max(e.last + Time::from_nanos(1));
-                    e.last = at;
-                    let ord = mk_ord(lane, e);
-                    route(me, k, queue, mail, at, ord, Ev::DeliverData { from, to, seq, ack, stamp, msg });
-                    if st.needs_arm(from, to) {
-                        // The retransmit timer executes at `from` = here.
-                        let tl = (n * n + from) as u32;
-                        let tord = mk_ord(tl, lanes.ent(tl));
-                        queue.push(now + st.rto_delay(from, to), tord, Ev::Rto { from, to });
-                    }
-                }
+        for (to, msg) in ctx.drain_outbox() {
+            // `sample` fast-paths deterministic models (the paper's
+            // γ = const) without touching the RNG.
+            let lat = latency.sample(from, to, net_rng);
+            let stamp = tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
+            let packet = link.send(to, msg, now);
+            let lane = (from * n + to) as u32;
+            let e = lanes.ent(lane);
+            // Reliable FIFO links: never deliver before an earlier
+            // message on the same link (1 ns separation keeps strict
+            // order even under jittered latency).  The `now + 1` floor
+            // makes delivery *strictly* after the send even under
+            // `LatencyModel::Zero`: the canonical trace key order
+            // `(at, ord)` then respects causality, which the per-lane
+            // `ord` counters alone cannot guarantee for same-instant
+            // cross-lane events.
+            let at = (now + lat)
+                .max(now + Time::from_nanos(1))
+                .max(e.last + Time::from_nanos(1));
+            e.last = at;
+            let ord = mk_ord(lane, e);
+            route(me, k, queue, mail, at, ord, Ev::Deliver { from, to, stamp, packet });
+            if let Some(due) = link.arm(to, now) {
+                // The retransmit timer executes at `from` = here.
+                let tl = (n * n + from) as u32;
+                let tord = mk_ord(tl, lanes.ent(tl));
+                queue.push(due, tord, Ev::Rto { from, to });
             }
         }
     }
@@ -562,15 +531,13 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
     /// If `to` still owes `from` an ack for the data link `from → to`
     /// (no reply piggybacked it), put the standalone ack frame on the
     /// reverse wire.  No-op with reliability off.
-    fn flush_pending_ack(&mut self, from: NodeId, to: NodeId) {
-        let Some(st) = self.reliable.as_mut() else {
-            return;
-        };
-        let Some(ack) = st.pending_ack(from, to) else {
-            return;
-        };
+    fn flush_ack(&mut self, from: NodeId, to: NodeId) {
         let j = self.local(to);
-        let lat = self.latency.sample(to, from, &mut self.nodes[j].net_rng);
+        let SimNode { link, net_rng, .. } = &mut self.nodes[j];
+        let Some(packet) = link.take_ack(from) else {
+            return;
+        };
+        let lat = self.latency.sample(to, from, net_rng);
         // Acks bypass the FIFO tiebreak on purpose: a cumulative ack is
         // order-insensitive (applying an older value after a newer one is
         // a no-op), and exempting it keeps data-frame timing — and thus
@@ -588,7 +555,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             &mut self.mail_out,
             at,
             ord,
-            Ev::DeliverAck { from: to, to: from, ack },
+            Ev::Deliver { from: to, to: from, stamp: 0, packet },
         );
     }
 
@@ -650,106 +617,50 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
         self.now = at;
         self.tracer.on_dispatch(at, ord, self.queue.len());
         match ev {
-            Ev::Deliver { from, to, stamp, msg } => {
-                // Fault admission at event pop: the zero-alloc hot path is
-                // preserved — decisions are pure hashes over pre-sized
-                // tables, a deferral re-pushes into the free-list slab.
+            Ev::Deliver { from, to, stamp, packet } => {
+                // The plan's time windows first (pause defers, crash and
+                // partitions lose the frame), then the receiver's link
+                // endpoint.  The zero-alloc hot path is preserved: a
+                // deferral re-pushes into the free-list slab.
                 let verdict = match self.faults.as_mut() {
                     Some(fs) => fs.admit(from, to, at),
                     None => Admit::Deliver,
                 };
-                match verdict {
-                    Admit::Drop => {
-                        self.tracer.on_fault(to, from, msg.kind(), stamp);
-                        return;
-                    }
-                    Admit::Defer(until) => {
-                        let when = until.max(at + Time::from_nanos(1));
-                        let lord = self.local_ord(to);
-                        self.queue.push(when, lord, Ev::Deliver { from, to, stamp, msg });
-                        return;
-                    }
-                    // `admit` folds wire duplicates into Deliver; the
-                    // variant only flows out of `admit_wire`.
-                    Admit::Deliver | Admit::Duplicate => {}
-                }
-                self.tracer.on_recv(from, to, msg.kind(), msg.weight() as u32, stamp);
-                self.collector.on_message(msg.kind(), msg.weight());
                 let j = self.local(to);
-                let node = &mut self.nodes[j];
-                node.ctx.set_now(at);
-                node.proto.on_message(&mut node.ctx, from, msg);
-                self.post_dispatch(to, ord);
-            }
-            Ev::DeliverData { from, to, seq, ack, stamp, msg } => {
-                // A wire duplicate is a one-off copy arriving right behind
-                // the original; it is absorbed by the receive window
-                // inline (it never re-enters the fault filter — a copy of
-                // a copy would cascade at high dup rates).
-                let verdict = match self.faults.as_mut() {
-                    Some(fs) => fs.admit_wire(from, to, at),
-                    None => Admit::Deliver,
-                };
-                let mut dup_copy = false;
-                match verdict {
-                    Admit::Drop => {
-                        self.tracer.on_fault(to, from, msg.kind(), stamp);
-                        return;
-                    }
+                let recv = match verdict {
                     Admit::Defer(until) => {
                         let when = until.max(at + Time::from_nanos(1));
                         let lord = self.local_ord(to);
-                        self.queue
-                            .push(when, lord, Ev::DeliverData { from, to, seq, ack, stamp, msg });
+                        self.queue.push(when, lord, Ev::Deliver { from, to, stamp, packet });
                         return;
                     }
-                    Admit::Duplicate => dup_copy = true,
-                    Admit::Deliver => {}
-                }
-                let st = self
-                    .reliable
-                    .as_mut()
-                    .expect("data frame without a session layer");
-                let deliver = st.on_data(from, to, seq, ack);
-                if dup_copy {
-                    // Stale by construction: the original just ran.
-                    st.on_data(from, to, seq, ack);
-                }
-                if deliver {
-                    // Session dedup absorbs stale frames before this point,
-                    // so exactly one recv is traced per accepted frame.
-                    self.tracer.on_recv(from, to, msg.kind(), msg.weight() as u32, stamp);
-                    self.collector.on_message(msg.kind(), msg.weight());
-                    let j = self.local(to);
-                    let node = &mut self.nodes[j];
-                    node.ctx.set_now(at);
-                    node.proto.on_message(&mut node.ctx, from, msg);
-                    self.post_dispatch(to, ord);
+                    Admit::Drop => Recv::Drop(packet),
+                    Admit::Deliver => self.nodes[j].link.receive(from, packet),
+                };
+                match recv {
+                    Recv::Drop(lost) => {
+                        // Standalone acks stay untraced.
+                        if let Some(msg) = lost.msg() {
+                            self.tracer.on_fault(to, from, msg.kind(), stamp);
+                        }
+                        return;
+                    }
+                    Recv::Absorb => {}
+                    Recv::Deliver(msg) => {
+                        // Session dedup absorbs stale frames before this
+                        // point, so exactly one recv is traced per
+                        // accepted frame.
+                        self.tracer.on_recv(from, to, msg.kind(), msg.weight() as u32, stamp);
+                        self.collector.on_message(msg.kind(), msg.weight());
+                        let node = &mut self.nodes[j];
+                        node.ctx.set_now(at);
+                        node.proto.on_message(&mut node.ctx, from, msg);
+                        self.post_dispatch(to, ord);
+                    }
                 }
                 // The handler's reply (if any) piggybacked the ack inside
                 // `post_dispatch`; otherwise a standalone ack goes out now.
-                self.flush_pending_ack(from, to);
-            }
-            Ev::DeliverAck { from, to, ack } => {
-                let verdict = match self.faults.as_mut() {
-                    Some(fs) => fs.admit_wire(from, to, at),
-                    None => Admit::Deliver,
-                };
-                match verdict {
-                    Admit::Drop => return,
-                    Admit::Defer(until) => {
-                        let when = until.max(at + Time::from_nanos(1));
-                        let lord = self.local_ord(to);
-                        self.queue.push(when, lord, Ev::DeliverAck { from, to, ack });
-                        return;
-                    }
-                    // A duplicated ack is idempotent: apply once.
-                    Admit::Deliver | Admit::Duplicate => {}
-                }
-                self.reliable
-                    .as_mut()
-                    .expect("ack frame without a session layer")
-                    .on_ack(from, to, ack);
+                self.flush_ack(from, to);
             }
             Ev::Rto { from, to } => {
                 // The sender owns this timer: a frozen/crashed node's
@@ -767,41 +678,18 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                     self.queue.push(when, lord, Ev::Rto { from, to });
                     return;
                 }
-                let st = self
-                    .reliable
-                    .as_mut()
-                    .expect("rto without a session layer");
-                match st.on_rto(from, to, at) {
-                    // Everything acked in the meantime; the timer dies and
-                    // the next send re-arms it.
-                    RtoVerdict::Idle => return,
-                    // The oldest unacked frame is younger than the timeout
-                    // (the timer was armed for an already-acked frame):
-                    // follow it without retransmitting or backing off.
-                    RtoVerdict::Rearm(when) => {
-                        let lord = self.local_ord(from);
-                        self.queue.push(when, lord, Ev::Rto { from, to });
-                        return;
-                    }
-                    RtoVerdict::Retransmit(_) => {}
-                }
                 // Re-send the whole unacked window (go-back-N) with fresh
-                // latency samples, then re-arm with the backed-off delay.
-                // Field-disjoint borrows: the session state is read while
-                // the queue/lane table/RNG are written.
-                let st = self.reliable.as_ref().expect("session layer vanished");
-                let delay = st.rto_delay(from, to);
-                let ack = st.ack_for(from, to);
-                let j = from / self.k;
-                let SimNode { net_rng, .. } = &mut self.nodes[j];
-                let queue = &mut self.queue;
-                let lanes = &mut self.lanes;
-                let mail = &mut self.mail_out;
-                let tracer = &mut self.tracer;
-                let latency = &self.latency;
-                let (me, k, n) = (self.id, self.k, self.n);
+                // latency samples, then follow the timer: re-armed with
+                // the backed-off delay, re-armed at the oldest frame's own
+                // deadline when it is still young, or dead when everything
+                // was acked in the meantime (the next send re-arms it).
+                let j = self.local(from);
+                let Shard { nodes, queue, lanes, mail_out, tracer, latency, n, id, k, .. } = self;
+                let (n, me, k) = (*n, *id, *k);
+                let SimNode { link, net_rng, .. } = &mut nodes[j];
                 let lane = (from * n + to) as u32;
-                for (seq, msg) in st.unacked(from, to) {
+                let next = link.on_rto(to, at, |packet| {
+                    let msg = packet.msg().expect("retransmissions carry data");
                     let lat = latency.sample(from, to, net_rng);
                     // A retransmission is a later event than the original
                     // send: it mints a fresh Lamport stamp.
@@ -814,18 +702,13 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
                         .max(e.last + Time::from_nanos(1));
                     e.last = when;
                     let o = mk_ord(lane, e);
-                    route(me, k, queue, mail, when, o, Ev::DeliverData {
-                        from,
-                        to,
-                        seq,
-                        ack,
-                        stamp,
-                        msg: msg.clone(),
-                    });
+                    route(me, k, queue, mail_out, when, o, Ev::Deliver { from, to, stamp, packet });
+                });
+                if let Some(due) = next {
+                    let tl = (n * n + from) as u32;
+                    let tord = mk_ord(tl, lanes.ent(tl));
+                    queue.push(due, tord, Ev::Rto { from, to });
                 }
-                let tl = (n * n + from) as u32;
-                let tord = mk_ord(tl, lanes.ent(tl));
-                queue.push(at + delay, tord, Ev::Rto { from, to });
             }
             Ev::Think { node: i } => {
                 // A down node (paused or crashed) does not run its
@@ -1045,6 +928,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
             per[i % k].push(SimNode {
                 proto,
                 ctx: Ctx::new(i, n),
+                link: LinkEnd::new(i, n),
                 driver: Driver::new(),
                 workload,
                 rng: StdRng::seed_from_u64(
@@ -1071,7 +955,6 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
                 events: 0,
                 horizon_cut: false,
                 faults: None,
-                reliable: None,
                 collector: Collector::new(n, m, window),
                 monitor: if k == 1 {
                     Some(SafetyMonitor::new(n, m))
@@ -1106,15 +989,15 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         self.k
     }
 
-    /// Install a [`FaultPlan`]: every subsequent event pop runs through its
-    /// admission filter (drops, duplicate absorption, partitions, node
-    /// outages — see [`mra_protocol::faults`]).  Fault decisions are
-    /// counter-hashed from the plan's own seed, so installing a plan never
-    /// perturbs the workload or latency RNG streams: a zero-rate plan is
-    /// observationally identical to no plan.  On a sharded run each shard
-    /// keeps its own filter state; every per-link counter is only ever
-    /// touched by the link's receiving shard, so the decisions — like
-    /// everything else — are independent of the layout.
+    /// Install a [`FaultPlan`]: every subsequent frame pop runs through its
+    /// outage and partition windows, then the receiving node's per-link
+    /// drop/duplicate filter (see [`mra_protocol::faults`] and
+    /// [`mra_protocol::link`]).  Fault decisions are counter-hashed from
+    /// the plan's own seed, so installing a plan never perturbs the
+    /// workload or latency RNG streams: a zero-rate plan is
+    /// observationally identical to no plan.  Each per-link counter lives
+    /// in the receiving node's endpoint, so the decisions — like
+    /// everything else — are independent of the shard layout.
     ///
     /// # Panics
     /// If called after [`Sim::init`].
@@ -1122,6 +1005,9 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         assert!(!self.initialized, "install the fault plan before init()");
         for s in &mut self.shards {
             s.faults = Some(FaultState::new(plan.clone(), self.n));
+            for node in &mut s.nodes {
+                node.link.install_faults(&plan);
+            }
         }
     }
 
@@ -1132,6 +1018,9 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         for s in &self.shards {
             if let Some(f) = &s.faults {
                 acc.absorb(&f.stats);
+            }
+            for node in &s.nodes {
+                acc.absorb(&node.link.faults());
             }
         }
         acc
@@ -1146,8 +1035,8 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     /// [recoverable](FaultPlan::is_recoverable) fault plan this restores
     /// the paper's exactly-once FIFO channel model, and the end-of-run
     /// deadlock check stays **armed** even though the plan is lossy.
-    /// Session endpoints split cleanly across shards: the transmit side of
-    /// a link lives at its sender, the receive side at its receiver.
+    /// Sessions live in the nodes' link endpoints: the transmit side of a
+    /// link at its sender, the receive side at its receiver.
     ///
     /// Off (the default) is the paper-faithful perfect-link mode: nothing
     /// about the simulation changes.
@@ -1157,7 +1046,9 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     pub fn set_reliability(&mut self, cfg: Reliability) {
         assert!(!self.initialized, "enable reliability before init()");
         for s in &mut self.shards {
-            s.reliable = Some(ReliableState::new(cfg, self.n));
+            for node in &mut s.nodes {
+                node.link.enable_reliability(cfg);
+            }
         }
     }
 
@@ -1166,8 +1057,8 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     pub fn reliability_stats(&self) -> ReliabilityStats {
         let mut acc = ReliabilityStats::default();
         for s in &self.shards {
-            if let Some(r) = &s.reliable {
-                acc.absorb(&r.stats);
+            for node in &s.nodes {
+                acc.absorb(&node.link.reliability());
             }
         }
         acc
@@ -1316,7 +1207,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         // (the starvation shows up as `censored` requests instead).  With
         // reliability enabled the check is re-armed for every recoverable
         // plan (drop rates < 1.0): retransmission owes liveness again.
-        let recovered = self.shards[0].reliable.is_some()
+        let recovered = self.shards[0].nodes[0].link.reliable()
             && self.shards[0]
                 .faults
                 .as_ref()

@@ -23,7 +23,7 @@
 
 use mra::baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
 use mra::core::LassConfig;
-use mra::obs::{check_events, TraceMode};
+use mra::obs::{check_events, EventKind, TraceMode};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::protocol::testkit::{run_faulty_workload, ExerciseCfg, FaultyReport, VirtualNet};
@@ -71,6 +71,15 @@ fn exercise<A: Allocator>(
         check.violations,
         check.events,
         check.details
+    );
+    // Standalone session acks are plumbing and stay untraced, also when a
+    // fault verdict drops one.
+    assert!(
+        !trace
+            .to_owned_events()
+            .iter()
+            .any(|e| e.kind == EventKind::FaultVerdict && e.tag == "RAck"),
+        "a dropped standalone ack was traced (reliable={reliable})"
     );
     report
 }
