@@ -1,26 +1,27 @@
-//! Cluster harnesses: spawn protocol nodes over the TCP mesh and collect
-//! the same [`RunResult`] metrics as the simulator and the mpsc runtime.
+//! Cluster harnesses: run protocol nodes over the TCP mesh and collect
+//! the same [`RunResult`] metrics as the simulator.
 //!
 //! Two deployment shapes share all the machinery:
 //!
-//! * [`run_tcp_cluster`] — N nodes as threads of one process, connected
-//!   through real loopback sockets.  Safety is checked by the shared
+//! * [`run_tcp_cluster`] — N nodes as threads of one process (one thread
+//!   per node: its reactor), connected through real loopback sockets.  Safety is checked by the shared
 //!   [`SafetyMonitor`](mra_protocol::testkit::SafetyMonitor) exactly like
 //!   the other substrates, which makes this the integration point for
 //!   wire-level testing: same assertions, real TCP underneath.
 //! * [`run_solo_node`] — one node of a multi-process (or multi-host)
-//!   cluster, addressed through an explicit [`PeerDirectory`].  Each
+//!   cluster, addressed through an explicit [`PeerDirectory`], run on the
+//!   calling thread.  Each
 //!   process reports its own local metrics; cross-process safety is
 //!   enforced by the protocols themselves (the monitor can only see the
 //!   local node).
 
-use crate::reactor::{connect_reactor_mesh, ReactorPort};
+use crate::node::{lock, Node, NodeCfg, RunShared};
+use crate::reactor::run_reactor;
 use crate::sys;
 use crate::transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl, PortStats};
 use mra_protocol::faults::FaultPlan;
 use mra_protocol::reliable::Reliability;
 use mra_protocol::{Allocator, WireCodec};
-use mra_sim::runtime::{drive_node, NodeCfg, RunShared};
 use mra_sim::{RunResult, Workload};
 use mra_types::{NodeId, Time};
 use std::io;
@@ -52,7 +53,7 @@ pub struct TcpClusterConfig {
     /// around the frame codec, restoring exactly-once FIFO delivery under
     /// a lossy `faults` shim.
     pub reliability: Option<Reliability>,
-    /// Per-node transport counter dump to stderr when each port shuts
+    /// Per-node transport counter dump to stderr when each reactor shuts
     /// down (see [`MeshConfig::metrics`]).
     pub metrics: bool,
     /// Which transport moves the frames.  Always [`NetBackend::Reactor`];
@@ -78,7 +79,7 @@ impl TcpClusterConfig {
 
 /// File descriptors an `n`-node loopback cluster needs inside one
 /// process, with headroom: both connection endpoints live here, plus
-/// listeners, wake pipes and poller fds.  One connection per unordered
+/// listeners and poller fds.  One connection per unordered
 /// pair puts `n·(n-1)` endpoints here; the budget doubles that, since a
 /// limit set too low fails the mesh and one set too high costs nothing.
 fn fd_budget(n: usize) -> u64 {
@@ -88,9 +89,9 @@ fn fd_budget(n: usize) -> u64 {
 /// Run `protos` as an N-node cluster over loopback TCP until every active
 /// node has completed its round quota; returns the collected metrics.
 ///
-/// Mirrors [`mra_sim::run_threaded`] — same workload driver, same safety
-/// monitoring, same metrics — with the mpsc channels swapped for real
-/// sockets and the wire codec in between.
+/// Same workload driver, safety monitoring and metrics as the simulator,
+/// over real sockets with the wire codec in between.  Each node is one
+/// thread: its reactor, which runs the protocol too.
 ///
 /// # Panics
 /// On any safety violation, and on transport setup failure (a loopback
@@ -113,7 +114,7 @@ where
     assert!(active >= 1 && active <= n);
 
     // Bind every listener up front so the concurrent connect phase cannot
-    // race a missing acceptor (see `connect_reactor_mesh`).
+    // race a missing acceptor (see `run_reactor`).
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
         .collect();
@@ -167,11 +168,9 @@ where
             std::thread::Builder::new()
                 .name(format!("mra-tcp-node-{i}"))
                 .spawn(move || {
-                    let ctrl = PortCtrl::Cluster(remaining);
-                    let port: ReactorPort<A::Msg> =
-                        connect_reactor_mesh(i, listener, &dir, ctrl, mesh)
-                            .expect("TCP mesh setup");
-                    drive_node(i, n, proto, workload, port, &shared, node_cfg);
+                    let node = Node::new(i, n, proto, workload, shared, node_cfg);
+                    run_reactor(node, listener, &dir, PortCtrl::Cluster(remaining), mesh)
+                        .expect("TCP mesh setup");
                 })
                 .expect("spawn node thread"),
         );
@@ -180,37 +179,24 @@ where
         h.join().expect("node thread panicked");
     }
 
-    let end = shared.now();
-    let shared = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("thread leaked a RunShared reference"));
-    let obs = shared.finish_obs();
+    let (mut res, monitor) = shared.finish(&algo, n);
     // Post-run conservation: every node finished outside its CS, so the
     // holder table must be empty — a leak here means a grant/release pair
     // corrupted it (the monitor's exit check is a hard assert in release
     // builds exactly so this cannot pass silently).
-    let monitor = shared
-        .monitor
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner());
     assert_eq!(monitor.concurrency(), 0, "node left inside CS after the run");
     assert_eq!(monitor.held_resources(), 0, "resources leaked after the run");
     monitor.assert_conservation();
-    let mut res = shared
-        .collector
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .finish(&algo, n, end);
-    res.obs = obs;
     for slot in &slots {
         absorb_port(&mut res, slot);
     }
     res
 }
 
-/// Fold one port's published wire counters, fault verdicts and session
+/// Fold one node's published wire counters, fault verdicts and session
 /// counters into the run's result.
 fn absorb_port(res: &mut RunResult, slot: &Mutex<PortStats>) {
-    let port = slot.lock().unwrap_or_else(|e| e.into_inner());
+    let port = lock(slot);
     res.obs.net.merge(&port.net);
     res.faults.absorb(&port.faults);
     res.reliability.absorb(&port.reliability);
@@ -238,12 +224,12 @@ pub struct SoloConfig {
     /// every process must enable it for the session framing to be
     /// coherent (`MRA_RELIABLE=1` across the cluster).
     pub reliability: Option<Reliability>,
-    /// Transport counter dump to stderr when the port shuts down (see
+    /// Transport counter dump to stderr when the reactor shuts down (see
     /// [`MeshConfig::metrics`]; `mra-node --metrics` / `MRA_METRICS=1`).
     pub metrics: bool,
 }
 
-/// Run node `me` of a multi-process cluster on the current thread,
+/// Run node `me` of a multi-process cluster on the calling thread,
 /// binding `dir.addr(me)` and meshing with every peer in `dir`.
 ///
 /// Returns this node's local metrics once the cluster-wide shutdown
@@ -268,7 +254,7 @@ where
 
     let listener = TcpListener::bind(dir.addr(me))?;
     let _ = sys::raise_nofile_limit((4 * n + 64) as u64);
-    let shared = RunShared::new(n, m);
+    let shared = Arc::new(RunShared::new(n, m));
     let algo = proto.name().to_string();
     let slot: Arc<Mutex<PortStats>> = Arc::default();
     let node_cfg = NodeCfg {
@@ -289,17 +275,10 @@ where
         metrics: cfg.metrics,
         counters_slot: Some(Arc::clone(&slot)),
     };
-    let port: ReactorPort<A::Msg> = connect_reactor_mesh(me, listener, dir, ctrl, mesh)?;
-    drive_node(me, n, proto, workload, port, &shared, node_cfg);
+    let node = Node::new(me, n, proto, workload, Arc::clone(&shared), node_cfg);
+    run_reactor(node, listener, dir, ctrl, mesh)?;
 
-    let end = shared.now();
-    let obs = shared.finish_obs();
-    let mut res = shared
-        .collector
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .finish(&algo, n, end);
-    res.obs = obs;
+    let (mut res, _) = shared.finish(&algo, n);
     absorb_port(&mut res, &slot);
     Ok(res)
 }

@@ -3,10 +3,10 @@
 //! The paper evaluated LASS on a 32-node cluster over OpenMPI; this crate
 //! is the workspace's equivalent deployment surface.  It turns the pure
 //! [`Allocator`](mra_protocol::Allocator) state machines into nodes that
-//! talk over actual sockets — the fourth substrate, after the virtual
-//! test network, the discrete-event simulator and the mpsc threaded
-//! runtime — so wire-level and simulated behavior can be compared on the
-//! same metrics ([`RunResult`](mra_sim::RunResult)).
+//! talk over actual sockets — the third substrate, after the virtual test
+//! network and the discrete-event simulator — so wire-level and simulated
+//! behavior can be compared on the same metrics
+//! ([`RunResult`](mra_sim::RunResult)).  A node is one thread: its reactor.
 //!
 //! Layers:
 //!
@@ -14,14 +14,15 @@
 //!   hand-rolled [`WireCodec`](mra_protocol::WireCodec) implementations
 //!   that live next to each protocol's message types (no serde: the wire
 //!   format is specified in `mra_protocol::wire`).
-//! * [`reactor`] — the TCP transport: one reactor thread per node drives
+//! * `reactor` — the TCP transport: one reactor thread per node drives
 //!   every peer socket through the [`polling`] epoll/kqueue shim, with
 //!   one **bidirectional** connection per unordered pair (per-link FIFO
 //!   for free), write coalescing (many frames + piggybacked acks per
-//!   `write(2)`), and reliability RTOs on the reactor's timer wheel.
-//!   Implements [`mra_sim::NodePort`], the same abstraction the mpsc
-//!   runtime uses, so both substrates are backends of one shared node
-//!   loop (`mra_sim::runtime`).  Unix-only.
+//!   `write(2)`), and reliability RTOs, the node's think/CS timer and
+//!   emulated link latency on the reactor's timer wheel.  Unix-only.
+//! * `node` — the event-driven node the reactor runs: the workload
+//!   driver and the protocol, called on each delivery and on each timer
+//!   expiry, never blocking.
 //! * [`transport`] — the mesh vocabulary: the peer directory
 //!   (`NodeId → SocketAddr`), transport-level shutdown coordination and
 //!   mesh construction parameters.
@@ -62,10 +63,10 @@
 
 pub mod cluster;
 pub mod frame;
-pub mod reactor;
+mod node;
+mod reactor;
 pub mod sys;
 pub mod transport;
 
 pub use cluster::{run_solo_node, run_tcp_cluster, SoloConfig, TcpClusterConfig};
-pub use reactor::{connect_reactor_mesh, ReactorPort};
 pub use transport::{MeshConfig, NetBackend, PeerDirectory, PortCtrl, PortStats};

@@ -1,5 +1,6 @@
 //! The readiness-polled TCP transport: one reactor thread per node
-//! drives *every* peer socket through an epoll/kqueue poller.
+//! drives *every* peer socket through an epoll/kqueue poller, and runs the
+//! node itself.
 //!
 //! A thread-per-connection design spends one OS thread and one
 //! ordered-pair connection per link — `n-1` reader threads and `2(n-1)`
@@ -7,8 +8,10 @@
 //! that is 65 k threads and 130 k sockets cluster-wide, and every
 //! hot-path frame costs a syscall.  This module instead runs, per node:
 //!
-//! * **one thread** — the reactor — owning one [`polling::Poller`] and
-//!   every socket;
+//! * **one thread** — the reactor — owning one [`polling::Poller`],
+//!   every socket and the node ([`Node`](crate::node::Node)): the
+//!   protocol runs on deliveries and on its think/CS timer, and its
+//!   outbox drains straight into the write queues;
 //! * **one bidirectional connection per unordered pair** — the smaller
 //!   node id connects to the larger id's listener (the 4-byte handshake
 //!   names the connector).  TCP is FIFO in both directions and the
@@ -22,26 +25,23 @@
 //!   retransmissions, control frames and piggybacked/standalone session
 //!   acks to the same peer share a single `write(2)`.  A partial write
 //!   parks the remainder and resumes on write-readiness;
-//! * **reactor-owned timers** — reliability RTO deadlines and connect
-//!   retries bound the poll timeout; retransmission is serviced by the
-//!   reactor, not by whoever happens to be sitting in `recv`;
+//! * **one timer wheel** — the node's think/CS deadline, deliveries
+//!   held back by `MeshConfig::extra_latency`, reliability RTOs and
+//!   connect retries all bound the poll timeout, which keeps its
+//!   sub-millisecond part (`epoll_pwait2`);
 //! * **one link endpoint** — the node's
 //!   [`LinkEnd`](mra_protocol::link::LinkEnd), the same fault filter and
 //!   reliable session `Sim` and `VirtualNet` run; the reactor only maps
 //!   its packets to frames and its deadlines to `Instant`s.
 //!
-//! The node loop talks to the reactor through two mpsc channels plus a
-//! socketpair-based wakeup: senders enqueue a command and write one byte
-//! iff the `woken` flag was clear; the reactor drains the pipe, *then*
-//! clears the flag, *then* drains the queue — the order that makes a
-//! lost wakeup impossible.  See DESIGN.md §12 for the full contract.
+//! See DESIGN.md §12 for the full contract.
 //!
 //! Everything here is unix-only (the vendored poller has no backend
-//! elsewhere): on other platforms the stub `connect_reactor_mesh` below
-//! reports `Unsupported`, so TCP clusters do not run there.
+//! elsewhere): on other platforms the stub `run_reactor` below reports
+//! `Unsupported`, so TCP clusters do not run there.
 
 #[cfg(unix)]
-pub use imp::{connect_reactor_mesh, ReactorPort};
+pub(crate) use imp::run_reactor;
 
 #[cfg(unix)]
 mod imp {
@@ -49,19 +49,19 @@ mod imp {
         begin_frame, decode_packet, encode_packet, end_frame, FrameBuf, WriteBuf, TAG_DONE,
         TAG_SHUTDOWN,
     };
+    use crate::node::{lock, Node};
     use crate::sys;
     use crate::transport::{DoneAct, MeshConfig, PeerDirectory, PortCtrl, PortStats};
     use mra_obs::NetCounters;
     use mra_protocol::link::{LinkEnd, Packet, Recv};
-    use mra_protocol::WireCodec;
-    use mra_sim::{NodePort, PortEvent};
+    use mra_protocol::{Allocator, WireCodec};
+    use mra_sim::Workload;
     use mra_types::{NodeId, Time};
     use polling::{Event, Events, Poller};
+    use std::collections::VecDeque;
     use std::io::{self, Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
-    use std::os::unix::net::UnixStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{mpsc, Arc, Mutex};
+    use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
     /// Wait this long between connect retries (a peer process may not
@@ -73,32 +73,6 @@ mod imp {
     const MAX_READS_PER_PASS: usize = 16;
     /// On stop, keep flushing parked write buffers at most this long.
     const DRAIN_LIMIT: Duration = Duration::from_secs(5);
-
-    /// Node-loop → reactor commands.
-    enum Cmd<M> {
-        /// Encode and send one protocol message.
-        Send { to: NodeId, msg: M },
-        /// Report quota completion to node 0 ([`TAG_DONE`], solo mode).
-        Done,
-        /// Broadcast [`TAG_SHUTDOWN`] to every peer (last finisher).
-        Shutdown,
-        /// Flush what can be flushed and exit the reactor.
-        Stop,
-    }
-
-    /// Reactor → node-loop events.  The link endpoint already ran on the
-    /// reactor side: data frames arrive filtered, deduplicated and acked,
-    /// so only deliverable messages and control outcomes cross this
-    /// channel.
-    enum Up<M> {
-        Msg {
-            from: NodeId,
-            deliver_at: Instant,
-            msg: M,
-        },
-        Done,
-        Shutdown,
-    }
 
     /// One peer's connection state inside the reactor.
     struct PeerConn {
@@ -143,26 +117,30 @@ mod imp {
         addrs: Vec<SocketAddr>,
         poller: Poller,
         listener: TcpListener,
-        wake_rx: UnixStream,
-        woken: Arc<AtomicBool>,
-        cmds: mpsc::Receiver<Cmd<M>>,
-        up: mpsc::Sender<Up<M>>,
+        ctrl: PortCtrl,
         conns: Vec<PeerConn>,
         pending: Vec<Option<Pending>>,
-        /// Fault filters and reliable sessions of every link (reactor-owned;
-        /// the node loop never touches sequence numbers).
+        /// Fault filters and reliable sessions of every link.
         end: LinkEnd<M>,
         /// Origin of the endpoint's time axis.
         epoch: Instant,
         extra: Duration,
+        /// Deliveries the link endpoint let through, each due `extra`
+        /// after its arrival.  The delay is constant, so arrival order is
+        /// delivery order.
+        inbox: VecDeque<(Instant, NodeId, M)>,
+        /// A shutdown frame arrived or a link broke: stop the node once
+        /// the deliveries ahead of it are through.
+        closing: bool,
         connect_deadline: Instant,
         counters: NetCounters,
         slot: Arc<Mutex<PortStats>>,
+        metrics: bool,
         /// Reusable encode scratch (one frame at a time).
         buf: Vec<u8>,
         /// Reusable decode scratch (frame body, tag at `[0]`).
         scratch: Vec<u8>,
-        /// `Some(deadline)` once [`Cmd::Stop`] arrived.
+        /// `Some(deadline)` once the node stopped: flush, then exit.
         draining: Option<Instant>,
     }
 
@@ -170,21 +148,25 @@ mod imp {
         fn key_listener(&self) -> usize {
             self.n
         }
-        fn key_wake(&self) -> usize {
+        fn key_pending_base(&self) -> usize {
             self.n + 1
         }
-        fn key_pending_base(&self) -> usize {
-            self.n + 2
-        }
 
-        fn run(mut self) {
+        fn run<A, W>(mut self, mut node: Node<A, W>)
+        where
+            A: Allocator<Msg = M>,
+            W: Workload,
+        {
             for peer in (self.me + 1)..self.n {
                 self.start_connect(peer);
             }
+            // Frames the node sends before the mesh forms park in `wbuf`,
+            // behind the handshake `start_connect` queued.
+            node.start(&mut |to, msg| self.queue_data(to, msg));
             let mut events = Events::new();
             loop {
                 self.publish();
-                let timeout = self.next_timeout();
+                let timeout = self.next_timeout(node.deadline());
                 if let Err(e) = self.poller.wait(&mut events, timeout) {
                     if e.kind() == io::ErrorKind::Interrupted {
                         continue;
@@ -193,9 +175,7 @@ mod imp {
                     break;
                 }
                 for ev in events.iter() {
-                    if ev.key == self.key_wake() {
-                        self.drain_wake();
-                    } else if ev.key == self.key_listener() {
+                    if ev.key == self.key_listener() {
                         self.accept_all();
                     } else if ev.key >= self.key_pending_base() {
                         self.service_pending(ev.key - self.key_pending_base());
@@ -208,8 +188,8 @@ mod imp {
                         }
                     }
                 }
-                self.drain_cmds();
                 if self.draining.is_none() {
+                    self.drive(&mut node);
                     self.fire_timers();
                     self.queue_owed_acks();
                 }
@@ -221,12 +201,52 @@ mod imp {
                 }
             }
             self.publish();
-            // Dropping `up` here unblocks a node loop still in `recv`
-            // (its channel errors into `PortEvent::Shutdown`).
+            if self.metrics {
+                eprintln!("{}", self.counters.render(self.me));
+            }
+        }
+
+        /// Hand the node its due deliveries, then its expired timer, and
+        /// act on what follows: quota done, or the run is closing.
+        fn drive<A, W>(&mut self, node: &mut Node<A, W>)
+        where
+            A: Allocator<Msg = M>,
+            W: Workload,
+        {
+            let now = Instant::now();
+            while self.inbox.front().is_some_and(|&(at, ..)| at <= now) {
+                let (_, from, msg) = self.inbox.pop_front().expect("front checked above");
+                node.deliver(from, msg, &mut |to, msg| self.queue_data(to, msg));
+            }
+            if node.deadline().is_some_and(|t| t <= now)
+                && node.on_timer(&mut |to, msg| self.queue_data(to, msg))
+            {
+                match self.ctrl.self_done(self.me) {
+                    DoneAct::LastFinisher => self.shut_down_cluster(),
+                    DoneAct::ReportDone => self.queue_ctrl(0, TAG_DONE, "Done"),
+                    DoneAct::Wait => {}
+                }
+            }
+            if self.closing && self.inbox.is_empty() {
+                self.stop();
+            }
+        }
+
+        /// Broadcast [`TAG_SHUTDOWN`] to every peer and stop.
+        fn shut_down_cluster(&mut self) {
+            for peer in 0..self.n {
+                self.queue_ctrl(peer, TAG_SHUTDOWN, "Shutdown");
+            }
+            self.stop();
+        }
+
+        /// Stop the node: flush what can be flushed, then exit.
+        fn stop(&mut self) {
+            self.draining.get_or_insert(Instant::now() + DRAIN_LIMIT);
         }
 
         fn publish(&self) {
-            let mut g = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+            let mut g = lock(&self.slot);
             // `clone_from`, not assignment: reuses the slot's `by_kind`
             // allocation, keeping the once-per-iteration publish free of
             // heap traffic.
@@ -240,10 +260,10 @@ mod imp {
             Time::from_nanos(self.epoch.elapsed().as_nanos() as u64)
         }
 
-        /// The earliest pending deadline — RTOs, connect retries, the
-        /// drain limit — as a poll timeout.  `None` blocks until I/O or
-        /// a wakeup.
-        fn next_timeout(&self) -> Option<Duration> {
+        /// The earliest pending deadline — the node's timer, the next
+        /// held-back delivery, RTOs, connect retries, the drain limit — as
+        /// a poll timeout.  `None` blocks until I/O.
+        fn next_timeout(&self, node: Option<Instant>) -> Option<Duration> {
             let mut next: Option<Instant> = self.draining;
             let mut fold = |t: Instant| match next {
                 Some(cur) if cur <= t => {}
@@ -255,6 +275,12 @@ mod imp {
                 }
             }
             if self.draining.is_none() {
+                if let Some(t) = node {
+                    fold(t);
+                }
+                if let Some(&(at, ..)) = self.inbox.front() {
+                    fold(at);
+                }
                 // Idle sessions keep their timer in flight until it fires
                 // (the endpoint's rule) but have no deadline to wake for.
                 for (peer, c) in self.conns.iter().enumerate() {
@@ -264,41 +290,6 @@ mod imp {
                 }
             }
             next.map(|t| t.saturating_duration_since(Instant::now()))
-        }
-
-        fn drain_wake(&mut self) {
-            let mut sink = [0u8; 64];
-            loop {
-                match (&self.wake_rx).read(&mut sink) {
-                    Ok(0) => break, // port side gone; the cmd channel decides
-                    Ok(_) => continue,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => break, // WouldBlock: drained
-                }
-            }
-            // Clear AFTER draining the pipe and BEFORE draining the cmd
-            // queue: a sender enqueueing between this store and the drain
-            // sees `false` and writes a fresh byte — no lost wakeup.
-            self.woken.store(false, Ordering::Release);
-        }
-
-        fn drain_cmds(&mut self) {
-            while let Ok(cmd) = self.cmds.try_recv() {
-                match cmd {
-                    Cmd::Send { to, msg } => self.queue_data(to, msg),
-                    Cmd::Done => self.queue_ctrl(0, TAG_DONE, "Done"),
-                    Cmd::Shutdown => {
-                        for peer in 0..self.n {
-                            if peer != self.me {
-                                self.queue_ctrl(peer, TAG_SHUTDOWN, "Shutdown");
-                            }
-                        }
-                    }
-                    Cmd::Stop => {
-                        self.draining.get_or_insert(Instant::now() + DRAIN_LIMIT);
-                    }
-                }
-            }
         }
 
         /// Encode one protocol message into `to`'s write queue (session
@@ -460,9 +451,8 @@ mod imp {
             }
         }
 
-        /// Tear down one link.  Outside draining this also tells the node
-        /// loop the run is over — peers only close links on shutdown (or
-        /// breakage).
+        /// Tear down one link.  This also closes the run — peers only
+        /// close links on shutdown (or breakage).
         fn fatal_link(&mut self, peer: NodeId) {
             if let Some(s) = self.conns[peer].stream.take() {
                 let _ = self.poller.delete(&s);
@@ -472,9 +462,7 @@ mod imp {
             c.connected = false;
             c.wbuf.clear();
             c.retry_at = None;
-            if self.draining.is_none() {
-                let _ = self.up.send(Up::Shutdown);
-            }
+            self.closing = true;
         }
 
         /// Accept every connection the backlog holds.
@@ -649,11 +637,11 @@ mod imp {
             self.counters.bytes_in += self.scratch.len() as u64 + 4;
             match tag {
                 TAG_DONE => {
-                    let _ = self.up.send(Up::Done);
+                    if self.draining.is_none() && self.ctrl.peer_done() {
+                        self.shut_down_cluster();
+                    }
                 }
-                TAG_SHUTDOWN => {
-                    let _ = self.up.send(Up::Shutdown);
-                }
+                TAG_SHUTDOWN => self.closing = true,
                 _ => {
                     // Decode, then filter: a frame consumes its link's
                     // fault verdict inside the endpoint, whatever its tag.
@@ -665,11 +653,7 @@ mod imp {
                         return false;
                     }
                     if let Recv::Deliver(msg) = self.end.receive(peer, packet) {
-                        let _ = self.up.send(Up::Msg {
-                            from: peer,
-                            deliver_at: Instant::now() + self.extra,
-                            msg,
-                        });
+                        self.inbox.push_back((Instant::now() + self.extra, peer, msg));
                     }
                 }
             }
@@ -744,130 +728,24 @@ mod imp {
         }
     }
 
-    /// [`NodePort`] over the reactor: the node loop's thin end of the
-    /// command/event channels.  All sockets, sessions and timers live on
-    /// the reactor thread; `send` is an enqueue plus at most one one-byte
-    /// wakeup write.
-    pub struct ReactorPort<M> {
-        me: NodeId,
-        ctrl: PortCtrl,
-        cmd: mpsc::Sender<Cmd<M>>,
-        up: mpsc::Receiver<Up<M>>,
-        wake_tx: UnixStream,
-        woken: Arc<AtomicBool>,
-        slot: Arc<Mutex<PortStats>>,
-        metrics: bool,
-        handle: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl<M> ReactorPort<M> {
-        fn wake(&self) {
-            if !self.woken.swap(true, Ordering::AcqRel) {
-                // One pending byte at most; WouldBlock means a wakeup is
-                // already in flight, which is all a wakeup can achieve.
-                let _ = (&self.wake_tx).write(&[1]);
-            }
-        }
-
-        /// Snapshot of the reactor's transport counters (refreshed every
-        /// reactor iteration; final totals once the port has dropped).
-        pub fn counters(&self) -> NetCounters {
-            self.slot.lock().unwrap_or_else(|e| e.into_inner()).net.clone()
-        }
-
-        fn wait(&mut self, deadline: Option<Instant>) -> PortEvent<M> {
-            loop {
-                let got = match deadline {
-                    None => self.up.recv().map_err(|_| ()),
-                    Some(d) => match self
-                        .up
-                        .recv_timeout(d.saturating_duration_since(Instant::now()))
-                    {
-                        Ok(up) => Ok(up),
-                        Err(mpsc::RecvTimeoutError::Disconnected) => Err(()),
-                        Err(mpsc::RecvTimeoutError::Timeout) => return PortEvent::TimedOut,
-                    },
-                };
-                match got {
-                    Err(()) => return PortEvent::Shutdown,
-                    // Stamp 0: the wire format carries no Lamport stamps
-                    // (§11).
-                    Ok(Up::Msg { from, deliver_at, msg }) => {
-                        return PortEvent::Msg { from, deliver_at, stamp: 0, msg }
-                    }
-                    Ok(Up::Shutdown) => return PortEvent::Shutdown,
-                    Ok(Up::Done) => {
-                        if self.ctrl.peer_done() {
-                            let _ = self.cmd.send(Cmd::Shutdown);
-                            self.wake();
-                            return PortEvent::Shutdown;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    impl<M: WireCodec + Clone + Send> NodePort<M> for ReactorPort<M> {
-        fn send(&mut self, to: NodeId, msg: M, _stamp: u64) {
-            if self.cmd.send(Cmd::Send { to, msg }).is_ok() {
-                self.wake();
-            }
-        }
-
-        fn recv(&mut self) -> PortEvent<M> {
-            self.wait(None)
-        }
-
-        fn recv_deadline(&mut self, deadline: Instant) -> PortEvent<M> {
-            self.wait(Some(deadline))
-        }
-
-        fn quota_done(&mut self) -> bool {
-            match self.ctrl.self_done(self.me) {
-                DoneAct::LastFinisher => {
-                    let _ = self.cmd.send(Cmd::Shutdown);
-                    self.wake();
-                    true
-                }
-                DoneAct::ReportDone => {
-                    let _ = self.cmd.send(Cmd::Done);
-                    self.wake();
-                    false
-                }
-                DoneAct::Wait => false,
-            }
-        }
-    }
-
-    impl<M> Drop for ReactorPort<M> {
-        fn drop(&mut self) {
-            let _ = self.cmd.send(Cmd::Stop);
-            self.wake();
-            if let Some(h) = self.handle.take() {
-                let _ = h.join();
-            }
-            if self.metrics {
-                eprintln!("{}", self.counters().render(self.me));
-            }
-        }
-    }
-
-    /// Build node `me`'s reactor-backed mesh.  This returns immediately:
-    /// connecting, accepting and handshaking proceed on the reactor
-    /// thread, and frames sent before the mesh completes park in the
-    /// per-peer write queues.  The caller must still have bound
-    /// `listener` before any node starts connecting.
-    pub fn connect_reactor_mesh<M>(
-        me: NodeId,
+    /// Run `node` over its TCP mesh on the calling thread until the
+    /// cluster-wide shutdown (or a broken link) stops it.  Connecting,
+    /// accepting and handshaking proceed on the reactor, and frames sent
+    /// before the mesh completes park in the per-peer write queues.  Every
+    /// node's `listener` must be bound before any node starts connecting.
+    pub(crate) fn run_reactor<A, W>(
+        node: Node<A, W>,
         listener: TcpListener,
         dir: &PeerDirectory,
         ctrl: PortCtrl,
         cfg: MeshConfig,
-    ) -> io::Result<ReactorPort<M>>
+    ) -> io::Result<()>
     where
-        M: WireCodec + Clone + Send + 'static,
+        A: Allocator,
+        A::Msg: WireCodec,
+        W: Workload,
     {
+        let me = node.me();
         let n = dir.len();
         assert!(me < n, "node id {me} outside directory 0..{n}");
         let poller = Poller::new()?;
@@ -875,16 +753,8 @@ mod imp {
         // std listens with backlog 128; every smaller peer SYNs at once
         // in a big mesh, and an overflow costs whole TCP-retry seconds.
         let _ = sys::listen_backlog(&listener, 4096);
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
         poller.add(&listener, Event::readable(n))?;
-        poller.add(&wake_rx, Event::readable(n + 1))?;
 
-        let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd<M>>();
-        let (up_tx, up_rx) = mpsc::channel::<Up<M>>();
-        let woken = Arc::new(AtomicBool::new(false));
-        let slot = cfg.counters_slot.clone().unwrap_or_default();
         let mut end = LinkEnd::new(me, n);
         if let Some(plan) = &cfg.faults {
             end.install_faults(plan);
@@ -909,101 +779,209 @@ mod imp {
             addrs: (0..n).map(|i| dir.addr(i)).collect(),
             poller,
             listener,
-            wake_rx,
-            woken: Arc::clone(&woken),
-            cmds: cmd_rx,
-            up: up_tx,
+            ctrl,
             conns,
             pending: Vec::new(),
             end,
             epoch: Instant::now(),
             extra: cfg.extra_latency.to_std(),
+            inbox: VecDeque::new(),
+            closing: false,
             connect_deadline: Instant::now() + cfg.connect_timeout,
             counters: NetCounters::default(),
-            slot: Arc::clone(&slot),
+            slot: cfg.counters_slot.unwrap_or_default(),
+            metrics: cfg.metrics,
             buf: Vec::with_capacity(256),
             scratch: Vec::with_capacity(256),
             draining: None,
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("mra-net-reactor-{me}"))
-            .spawn(move || reactor.run())?;
-        Ok(ReactorPort {
-            me,
-            ctrl,
-            cmd: cmd_tx,
-            up: up_rx,
-            wake_tx,
-            woken,
-            slot,
-            metrics: cfg.metrics,
-            handle: Some(handle),
-        })
+        reactor.run(node);
+        Ok(())
     }
 }
 
 #[cfg(not(unix))]
-mod stub {
-    use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
-    use mra_protocol::WireCodec;
-    use mra_sim::{NodePort, PortEvent};
-    use mra_types::NodeId;
-    use std::io;
-    use std::marker::PhantomData;
-    use std::net::TcpListener;
-
-    /// Unsupported on this platform: exists only to keep the API surface
-    /// uniform.
-    pub struct ReactorPort<M>(PhantomData<M>);
-
-    impl<M: WireCodec + Clone + Send> NodePort<M> for ReactorPort<M> {
-        fn send(&mut self, _to: NodeId, _msg: M, _stamp: u64) {
-            unreachable!("reactor transport is unix-only")
-        }
-        fn recv(&mut self) -> PortEvent<M> {
-            unreachable!("reactor transport is unix-only")
-        }
-        fn recv_deadline(&mut self, _deadline: std::time::Instant) -> PortEvent<M> {
-            unreachable!("reactor transport is unix-only")
-        }
-        fn quota_done(&mut self) -> bool {
-            unreachable!("reactor transport is unix-only")
-        }
-    }
-
-    pub fn connect_reactor_mesh<M>(
-        _me: NodeId,
-        _listener: TcpListener,
-        _dir: &PeerDirectory,
-        _ctrl: PortCtrl,
-        _cfg: MeshConfig,
-    ) -> io::Result<ReactorPort<M>>
-    where
-        M: WireCodec + Clone + Send + 'static,
-    {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the reactor transport needs epoll/kqueue; TCP clusters are unix-only",
-        ))
-    }
+pub(crate) fn run_reactor<A, W>(
+    _node: crate::node::Node<A, W>,
+    _listener: std::net::TcpListener,
+    _dir: &crate::transport::PeerDirectory,
+    _ctrl: crate::transport::PortCtrl,
+    _cfg: crate::transport::MeshConfig,
+) -> std::io::Result<()>
+where
+    A: mra_protocol::Allocator,
+{
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "the reactor transport needs epoll/kqueue; TCP clusters are unix-only",
+    ))
 }
-
-#[cfg(not(unix))]
-pub use stub::{connect_reactor_mesh, ReactorPort};
 
 #[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::transport::{MeshConfig, PeerDirectory, PortCtrl};
+    use crate::node::{lock, Node, NodeCfg, RunShared};
+    use crate::transport::{MeshConfig, PeerDirectory, PortCtrl, PortStats};
+    use mra_obs::NetCounters;
     use mra_protocol::faults::FaultPlan;
     use mra_protocol::link::{LinkEnd, Packet, Recv};
     use mra_protocol::reliable::Reliability;
-    use mra_sim::{NodePort, PortEvent};
-    use mra_types::Time;
+    use mra_protocol::{Allocator, Ctx, DecodeError, ProcState, WireCodec, WireMsg, WireReader};
+    use mra_sim::FixedWorkload;
+    use mra_types::{NodeId, ResourceSet, Time};
+    use std::collections::VecDeque;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+    use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
+
+    /// A numbered test message.
+    #[derive(Clone, Debug)]
+    struct Num(u64);
+
+    impl WireMsg for Num {
+        fn kind(&self) -> &'static str {
+            "Num"
+        }
+    }
+
+    impl WireCodec for Num {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
+            u64::decode(r).map(Num)
+        }
+    }
+
+    type Hook = Box<dyn FnMut(&mut Ctx<Num>, NodeId, u64) -> bool + Send>;
+
+    /// A scripted protocol: `on_init` sends `init`, each request sends the
+    /// next of `bursts`, and each delivery goes to `hook`.  Requests are
+    /// granted once the node is `ready` — from the start, or since `hook`
+    /// returned true.
+    struct Script {
+        init: Vec<(NodeId, u64)>,
+        bursts: VecDeque<Vec<(NodeId, u64)>>,
+        hook: Hook,
+        ready: bool,
+        state: ProcState,
+    }
+
+    impl Script {
+        fn new(
+            init: Vec<(NodeId, u64)>,
+            ready: bool,
+            hook: impl FnMut(&mut Ctx<Num>, NodeId, u64) -> bool + Send + 'static,
+        ) -> Self {
+            Script {
+                init,
+                bursts: VecDeque::new(),
+                hook: Box::new(hook),
+                ready,
+                state: ProcState::Idle,
+            }
+        }
+
+        fn try_grant(&mut self, ctx: &mut Ctx<Num>) {
+            if self.ready && self.state == ProcState::WaitCS {
+                self.state = ProcState::InCS;
+                ctx.grant();
+            }
+        }
+    }
+
+    impl Allocator for Script {
+        type Msg = Num;
+        fn on_init(&mut self, ctx: &mut Ctx<Num>) {
+            for &(to, k) in &self.init {
+                ctx.send(to, Num(k));
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<Num>, from: NodeId, msg: Num) {
+            self.ready |= (self.hook)(ctx, from, msg.0);
+            self.try_grant(ctx);
+        }
+        fn request(&mut self, ctx: &mut Ctx<Num>, _resources: ResourceSet) {
+            for (to, k) in self.bursts.pop_front().unwrap_or_default() {
+                ctx.send(to, Num(k));
+            }
+            self.state = ProcState::WaitCS;
+            self.try_grant(ctx);
+        }
+        fn release(&mut self, _ctx: &mut Ctx<Num>) {
+            self.state = ProcState::Idle;
+        }
+        fn state(&self) -> ProcState {
+            self.state
+        }
+        fn name(&self) -> &'static str {
+            "script"
+        }
+    }
+
+    type Log = Arc<Mutex<Vec<(NodeId, u64)>>>;
+
+    /// A script that sends `init`, logs every delivery and is ready once
+    /// `want` arrived.
+    fn recorder(init: Vec<(NodeId, u64)>, want: usize, log: &Log) -> Script {
+        let log = Arc::clone(log);
+        Script::new(init, false, move |_, from, k| {
+            let mut l = lock(&log);
+            l.push((from, k));
+            l.len() >= want
+        })
+    }
+
+    fn burst(to: NodeId, ks: std::ops::Range<u64>) -> Vec<(NodeId, u64)> {
+        ks.map(|k| (to, k)).collect()
+    }
+
+    fn counters(slot: &Mutex<PortStats>) -> NetCounters {
+        lock(slot).net.clone()
+    }
+
+    /// Run `proto` as node `me` on a thread of its own: active for
+    /// `rounds` rounds of `think` and an empty critical section, passive
+    /// when `rounds` is 0.  Its reactor publishes into `slot`.
+    #[allow(clippy::too_many_arguments)]
+    fn spawn(
+        me: NodeId,
+        proto: Script,
+        rounds: usize,
+        think: Time,
+        listener: TcpListener,
+        dir: &PeerDirectory,
+        remaining: &Arc<AtomicUsize>,
+        mesh: MeshConfig,
+        slot: &Arc<Mutex<PortStats>>,
+    ) -> JoinHandle<()> {
+        let dir = dir.clone();
+        let ctrl = PortCtrl::Cluster(Arc::clone(remaining));
+        let mesh = MeshConfig { counters_slot: Some(Arc::clone(slot)), ..mesh };
+        std::thread::spawn(move || {
+            let n = dir.len();
+            let workload = FixedWorkload { think, cs: Time::ZERO, m: 1, size: 1 };
+            let cfg = NodeCfg { rounds, seed: 1, is_active: rounds > 0 };
+            // One monitor per node: the scripts' critical sections are
+            // independent of each other.
+            let node = Node::new(me, n, proto, workload, Arc::new(RunShared::new(n, 1)), cfg);
+            run_reactor(node, listener, &dir, ctrl, mesh).unwrap();
+        })
+    }
+
+    /// Join every node thread, failing instead of hanging past `limit`.
+    fn join_all(handles: Vec<JoinHandle<()>>, limit: Duration) {
+        let deadline = Instant::now() + limit;
+        while !handles.iter().all(JoinHandle::is_finished) {
+            assert!(Instant::now() < deadline, "nodes still running after {limit:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        for h in handles {
+            h.join().expect("node thread panicked");
+        }
+    }
 
     fn pair_dir() -> (TcpListener, TcpListener, PeerDirectory) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1012,44 +990,21 @@ mod tests {
         (l0, l1, dir)
     }
 
-    fn kind<M>(ev: &PortEvent<M>) -> &'static str {
-        match ev {
-            PortEvent::Msg { .. } => "Msg",
-            PortEvent::TimedOut => "TimedOut",
-            PortEvent::Shutdown => "Shutdown",
-        }
-    }
+    const THINK: Time = Time::from_millis(20);
 
     #[test]
     fn two_node_reactor_mesh_moves_messages() {
         let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
         let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), MeshConfig::default())
-                    .unwrap();
-            p0.send(1, 0xDEAD_BEEF, 0);
-            match p0.recv() {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, 7)),
-                other => panic!("expected message, got {}", kind(&other)),
-            }
-        });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
-        p1.send(0, 7, 0);
-        match p1.recv() {
-            PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, 0xDEAD_BEEF)),
-            other => panic!("expected message, got {}", kind(&other)),
-        }
-        t.join().unwrap();
+        let (got0, got1) = (Log::default(), Log::default());
+        let (s0, s1) = (Arc::default(), Arc::default());
+        let p0 = recorder(vec![(1, 0xDEAD_BEEF)], 1, &got0);
+        let p1 = recorder(vec![(0, 7)], 1, &got1);
+        let t0 = spawn(0, p0, 1, THINK, l0, &dir, &remaining, MeshConfig::default(), &s0);
+        let t1 = spawn(1, p1, 1, THINK, l1, &dir, &remaining, MeshConfig::default(), &s1);
+        join_all(vec![t0, t1], Duration::from_secs(20));
+        assert_eq!(*lock(&got0), [(1, 7)]);
+        assert_eq!(*lock(&got1), [(0, 0xDEAD_BEEF)]);
     }
 
     #[test]
@@ -1066,43 +1021,22 @@ mod tests {
         assert!(expected > 0 && expected < FRAMES, "degenerate plan");
 
         let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
         let shim = MeshConfig { faults: Some(plan), ..MeshConfig::default() };
-        let cfg0 = shim.clone();
-        let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
-            for k in 0..FRAMES {
-                p0.send(1, k, 0);
-            }
-            // Dropping p0 stops its reactor, which flushes the parked
-            // frames before closing; the peer then sees EOF.
-        });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        loop {
-            match p1.recv() {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!(from, 0);
-                    got.push(msg);
-                }
-                PortEvent::Shutdown => break,
-                PortEvent::TimedOut => unreachable!("recv never times out"),
-            }
-        }
-        t.join().unwrap();
+        // Node 0 is the only active node: its one round ends the run, and
+        // its reactor flushes the parked frames before the shutdown.
+        let remaining = Arc::new(AtomicUsize::new(1));
+        let got = Log::default();
+        let (s0, s1) = (Arc::default(), Arc::default());
+        let p0 = Script::new(burst(1, 0..FRAMES), true, |_, _, _| false);
+        let t0 = spawn(0, p0, 1, THINK, l0, &dir, &remaining, shim.clone(), &s0);
+        let p1 = recorder(Vec::new(), usize::MAX, &got);
+        let t1 = spawn(1, p1, 0, THINK, l1, &dir, &remaining, shim, &s1);
+        join_all(vec![t0, t1], Duration::from_secs(20));
+        let got = lock(&got);
+        assert!(got.iter().all(|&(from, _)| from == 0));
         assert_eq!(got.len() as u64, expected, "shim lost the wrong frames");
         // FIFO survives the shim: payloads arrive in send order.
-        assert!(got.windows(2).all(|w| w[0] < w[1]));
+        assert!(got.windows(2).all(|w| w[0].1 < w[1].1));
     }
 
     #[test]
@@ -1118,50 +1052,33 @@ mod tests {
             ..MeshConfig::default()
         };
         let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let cfg0 = shim.clone();
         let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
-            for k in 0..FRAMES {
-                p0.send(1, k, 0);
-            }
-            // The reactor retransmits on its own timers; the node loop
-            // just waits for the peer's reliable confirmation.
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, u64::MAX)),
-                PortEvent::Shutdown => panic!("peer vanished early"),
-                PortEvent::TimedOut => panic!("confirmation never arrived"),
-            }
-        });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while (got.len() as u64) < FRAMES {
-            match p1.recv_deadline(deadline) {
-                PortEvent::Msg { from, msg, .. } => {
-                    assert_eq!(from, 0);
-                    got.push(msg);
+        let (got0, got1) = (Log::default(), Log::default());
+        let (s0, s1) = (Arc::default(), Arc::<Mutex<PortStats>>::default());
+        // The reactor retransmits on its own timers; node 0 just waits for
+        // the peer's reliable confirmation.
+        let p0 = recorder(burst(1, 0..FRAMES), 1, &got0);
+        let at_full = Arc::new(Mutex::new(None));
+        let p1 = {
+            let (got1, s1, at_full) = (Arc::clone(&got1), Arc::clone(&s1), Arc::clone(&at_full));
+            Script::new(Vec::new(), false, move |ctx, from, k| {
+                let mut got = lock(&got1);
+                got.push((from, k));
+                if got.len() as u64 == FRAMES {
+                    *lock(&at_full) = Some(counters(&s1));
+                    ctx.send(0, Num(u64::MAX));
                 }
-                PortEvent::Shutdown => panic!("sender vanished early"),
-                PortEvent::TimedOut => {
-                    panic!("reliable link stalled with {}/{FRAMES} frames", got.len())
-                }
-            }
-        }
+                got.len() as u64 >= FRAMES
+            })
+        };
+        let t0 = spawn(0, p0, 1, THINK, l0, &dir, &remaining, shim.clone(), &s0);
+        let t1 = spawn(1, p1, 1, THINK, l1, &dir, &remaining, shim, &s1);
+        join_all(vec![t0, t1], Duration::from_secs(20));
+        assert_eq!(*lock(&got0), [(1, u64::MAX)]);
         // Exactly once, in order — the session contract survives the
         // batched acking.
-        assert_eq!(got, (0..FRAMES).collect::<Vec<u64>>());
-        let c1 = p1.counters();
+        assert_eq!(*lock(&got1), burst(0, 0..FRAMES));
+        let c1 = lock(&at_full).take().expect("all frames arrived");
         // Ack batching: the receiver decoded ≥ FRAMES data frames (plus
         // duplicates and retransmissions) yet sent far fewer standalone
         // acks — a burst of arrivals owes one cumulative ack, and the
@@ -1172,15 +1089,6 @@ mod tests {
             c1.ack_frames
         );
         assert!(c1.ack_frames > 0, "one-way traffic must owe standalone acks");
-        p1.send(0, u64::MAX, 0);
-        // Serve until the peer exits (its reactor's EOF shuts ours down).
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
-            }
-        }
-        t.join().unwrap();
     }
 
     #[test]
@@ -1190,50 +1098,40 @@ mod tests {
         // strictly fewer `write(2)`s than frames.
         const BURST: u64 = 100;
         let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
         let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), MeshConfig::default())
-                    .unwrap();
-            for k in 0..BURST {
-                p0.send(1, k, 0);
-            }
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(10)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, 1)),
-                other => panic!("expected confirmation, got {}", kind(&other)),
-            }
-            let c0 = p0.counters();
-            assert_eq!(c0.frames_out, BURST);
-            assert!(
-                c0.write_calls < BURST,
-                "no coalescing: {} writes for {BURST} frames",
-                c0.write_calls
-            );
-        });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
-        for want in 0..BURST {
-            match p1.recv_deadline(Instant::now() + Duration::from_secs(10)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, want)),
-                other => panic!("expected frame {want}, got {}", kind(&other)),
-            }
-        }
-        p1.send(0, 1, 0);
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
-            }
-        }
-        t.join().unwrap();
+        let got1 = Log::default();
+        let (s0, s1) = (Arc::<Mutex<PortStats>>::default(), Arc::default());
+        let at_confirm = Arc::new(Mutex::new(None));
+        let p0 = {
+            let (s0, at_confirm) = (Arc::clone(&s0), Arc::clone(&at_confirm));
+            Script::new(burst(1, 0..BURST), false, move |_, from, k| {
+                assert_eq!((from, k), (1, 1), "expected confirmation");
+                *lock(&at_confirm) = Some(counters(&s0));
+                true
+            })
+        };
+        let p1 = {
+            let got1 = Arc::clone(&got1);
+            Script::new(Vec::new(), false, move |ctx, from, k| {
+                let mut got = lock(&got1);
+                got.push((from, k));
+                if got.len() as u64 == BURST {
+                    ctx.send(0, Num(1));
+                }
+                got.len() as u64 >= BURST
+            })
+        };
+        let t0 = spawn(0, p0, 1, THINK, l0, &dir, &remaining, MeshConfig::default(), &s0);
+        let t1 = spawn(1, p1, 1, THINK, l1, &dir, &remaining, MeshConfig::default(), &s1);
+        join_all(vec![t0, t1], Duration::from_secs(20));
+        assert_eq!(*lock(&got1), burst(0, 0..BURST));
+        let c0 = lock(&at_confirm).take().expect("confirmation arrived");
+        assert_eq!(c0.frames_out, BURST);
+        assert!(
+            c0.write_calls < BURST,
+            "no coalescing: {} writes for {BURST} frames",
+            c0.write_calls
+        );
     }
 
     /// Re-bind a just-released address (the test advertises it before the
@@ -1267,49 +1165,33 @@ mod tests {
             reliability: Some(Reliability::with_rto(Time::from_millis(250))),
             ..MeshConfig::default()
         };
-        let d0 = dir.clone();
-        let cfg0 = shim.clone();
         let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
-            p0.send(1, 42, 0);
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, 7)),
-                other => panic!("expected confirmation, got {}", kind(&other)),
-            }
-            let c0 = p0.counters();
-            assert_eq!(
-                (c0.rto_fires, c0.retransmit_frames),
-                (0, 0),
-                "perfect link, peer merely slow to start: nothing may retransmit"
-            );
-        });
+        let (got0, got1) = (Log::default(), Log::default());
+        let (s0, s1) = (Arc::default(), Arc::default());
+        let p0 = recorder(vec![(1, 42)], 1, &got0);
+        let t0 = spawn(0, p0, 1, THINK, l0, &dir, &remaining, shim.clone(), &s0);
         // Long enough for several RTO expiries (250, +500, +1000 ms)
         // while the connection cannot form.
         std::thread::sleep(Duration::from_secs(2));
         let l1 = bind_retry(a1);
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        match p1.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-            PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, 42)),
-            other => panic!("expected the parked frame, got {}", kind(&other)),
-        }
-        p1.send(0, 7, 0);
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
-            }
-        }
-        t.join().unwrap();
+        let p1 = {
+            let got1 = Arc::clone(&got1);
+            Script::new(Vec::new(), false, move |ctx, from, k| {
+                lock(&got1).push((from, k));
+                ctx.send(0, Num(7));
+                true
+            })
+        };
+        let t1 = spawn(1, p1, 1, THINK, l1, &dir, &remaining, shim, &s1);
+        join_all(vec![t0, t1], Duration::from_secs(20));
+        assert_eq!(*lock(&got1), [(0, 42)], "expected the parked frame");
+        assert_eq!(*lock(&got0), [(1, 7)], "expected confirmation");
+        let c0 = counters(&s0);
+        assert_eq!(
+            (c0.rto_fires, c0.retransmit_frames),
+            (0, 0),
+            "perfect link, peer merely slow to start: nothing may retransmit"
+        );
     }
 
     #[test]
@@ -1326,81 +1208,59 @@ mod tests {
             ..MeshConfig::default()
         };
         let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
-        let cfg0 = shim.clone();
         let remaining = Arc::new(AtomicUsize::new(2));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), cfg0).unwrap();
-            for k in 0..FRAMES {
-                p0.send(1, k, 0);
-                if (k + 1) % BURST == 0 {
-                    // Open-loop pacing: keep the in-flight window modest
-                    // so a retransmit could only come from deferred acks,
-                    // never from frames aging in our own parked backlog.
-                    std::thread::sleep(Duration::from_millis(1));
+        let (got0, got1) = (Log::default(), Log::default());
+        let (s0, s1) = (Arc::default(), Arc::<Mutex<PortStats>>::default());
+        // Open-loop pacing: one burst per 1 ms round keeps the in-flight
+        // window modest, so a retransmit could only come from deferred
+        // acks, never from frames aging in our own parked backlog.
+        let mut p0 = recorder(Vec::new(), 1, &got0);
+        p0.ready = true;
+        p0.bursts = (0..FRAMES / BURST).map(|b| burst(1, b * BURST..(b + 1) * BURST)).collect();
+        let at_full = Arc::new(Mutex::new(None));
+        let p1 = {
+            let (got1, s1, at_full) = (Arc::clone(&got1), Arc::clone(&s1), Arc::clone(&at_full));
+            Script::new(Vec::new(), false, move |ctx, from, k| {
+                let mut got = lock(&got1);
+                got.push((from, k));
+                if got.len() as u64 == FRAMES {
+                    *lock(&at_full) = Some(counters(&s1));
+                    ctx.send(0, Num(u64::MAX));
                 }
-            }
-            match p0.recv_deadline(Instant::now() + Duration::from_secs(20)) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (1, u64::MAX)),
-                other => panic!("expected confirmation, got {}", kind(&other)),
-            }
-            let c0 = p0.counters();
-            assert_eq!(
-                c0.retransmit_frames, 0,
-                "perfect link but {} RTO fires — acks deferred past the timer",
-                c0.rto_fires
-            );
-        });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            shim,
-        )
-        .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(20);
-        for want in 0..FRAMES {
-            match p1.recv_deadline(deadline) {
-                PortEvent::Msg { from, msg, .. } => assert_eq!((from, msg), (0, want)),
-                other => panic!("expected frame {want}, got {}", kind(&other)),
-            }
-        }
-        let c1 = p1.counters();
+                got.len() as u64 >= FRAMES
+            })
+        };
+        let rounds = (FRAMES / BURST) as usize;
+        let t0 = spawn(0, p0, rounds, Time::from_millis(1), l0, &dir, &remaining, shim.clone(), &s0);
+        let t1 = spawn(1, p1, 1, THINK, l1, &dir, &remaining, shim, &s1);
+        join_all(vec![t0, t1], Duration::from_secs(20));
+        assert_eq!(*lock(&got1), burst(0, 0..FRAMES));
+        assert_eq!(*lock(&got0), [(1, u64::MAX)], "expected confirmation");
+        let c1 = lock(&at_full).take().expect("all frames arrived");
         assert!(c1.ack_frames > 0, "one-way traffic must owe standalone acks");
-        p1.send(0, u64::MAX, 0);
-        while !t.is_finished() {
-            match p1.recv_deadline(Instant::now() + Duration::from_millis(50)) {
-                PortEvent::Shutdown => break,
-                _ => continue,
-            }
-        }
-        t.join().unwrap();
+        let c0 = counters(&s0);
+        assert_eq!(
+            c0.retransmit_frames, 0,
+            "perfect link but {} RTO fires — acks deferred past the timer",
+            c0.rto_fires
+        );
     }
 
     #[test]
     fn reactor_last_finisher_shutdown_reaches_peer() {
         let (l0, l1, dir) = pair_dir();
-        let d0 = dir.clone();
         let remaining = Arc::new(AtomicUsize::new(1));
-        let r0 = Arc::clone(&remaining);
-        let t = std::thread::spawn(move || {
-            let mut p0: ReactorPort<u64> =
-                connect_reactor_mesh(0, l0, &d0, PortCtrl::Cluster(r0), MeshConfig::default())
-                    .unwrap();
-            assert!(p0.quota_done());
-        });
-        let mut p1: ReactorPort<u64> = connect_reactor_mesh(
-            1,
-            l1,
-            &dir,
-            PortCtrl::Cluster(Arc::clone(&remaining)),
-            MeshConfig::default(),
-        )
-        .unwrap();
-        assert!(matches!(p1.recv(), PortEvent::Shutdown));
-        t.join().unwrap();
+        let got1 = Log::default();
+        let (s0, s1) = (Arc::default(), Arc::default());
+        let p0 = Script::new(Vec::new(), true, |_, _, _| false);
+        let t0 = spawn(0, p0, 1, THINK, l0, &dir, &remaining, MeshConfig::default(), &s0);
+        let p1 = recorder(Vec::new(), usize::MAX, &got1);
+        let t1 = spawn(1, p1, 0, THINK, l1, &dir, &remaining, MeshConfig::default(), &s1);
+        join_all(vec![t0, t1], Duration::from_secs(20));
+        // Node 0 finished last and broadcast the shutdown ...
+        assert_eq!(counters(&s0).by_kind.get("Shutdown"), 1);
+        // ... which is the one frame node 1 saw before it stopped.
+        assert_eq!(counters(&s1).frames_in, 1);
+        assert!(lock(&got1).is_empty());
     }
 }

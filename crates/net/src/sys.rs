@@ -7,7 +7,7 @@
 //!
 //! Non-unix builds get honest fallbacks: blocking connect, no-op backlog
 //! and rlimit tweaks, wall-clock standing in for CPU time (the reactor
-//! itself is unix-only — see [`crate::reactor`]).
+//! itself is unix-only — see `crate::reactor`).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

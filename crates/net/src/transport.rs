@@ -1,10 +1,10 @@
 //! The TCP mesh vocabulary shared by the reactor transport
-//! ([`crate::reactor`]) and the cluster harnesses ([`crate::cluster`]):
+//! (`crate::reactor`) and the cluster harnesses ([`crate::cluster`]):
 //! the peer directory ([`PeerDirectory`]), shutdown coordination
 //! ([`PortCtrl`]) and mesh construction parameters ([`MeshConfig`]).
 //!
-//! Shutdown is coordinated at the transport level so the shared runtime
-//! loop stays substrate-agnostic:
+//! Shutdown is coordinated at the transport level, by the reactor, so the
+//! node itself only reports that its quota is done:
 //!
 //! * **in-process clusters** ([`PortCtrl::Cluster`]) count finishers in a
 //!   shared atomic — the last one broadcasts
@@ -85,7 +85,7 @@ pub enum NetBackend {
     Reactor,
 }
 
-/// How a TCP port coordinates cluster-wide shutdown.
+/// How a node's reactor coordinates cluster-wide shutdown.
 pub enum PortCtrl {
     /// In-process loopback cluster: finishers decrement the shared count;
     /// the last one broadcasts shutdown frames.
@@ -192,15 +192,15 @@ pub struct MeshConfig {
     /// into lost liveness.  `MRA_RELIABLE` / `MRA_RTO_MS` feed this in the
     /// `mra-node` binary.
     pub reliability: Option<Reliability>,
-    /// Dump the port's [`NetCounters`] (frames/bytes per direction and
-    /// kind, retransmissions, RTO fires) to stderr when the port drops.
+    /// Dump the node's [`NetCounters`] (frames/bytes per direction and
+    /// kind, retransmissions, RTO fires) to stderr when its reactor exits.
     /// Fed by `mra-node --metrics` / `MRA_METRICS=1`.
     pub metrics: bool,
     /// Where the transport publishes its final [`PortStats`]: loopback
     /// harnesses hand each node a slot and merge them into the run's
-    /// result after the port drops.  The reactor refreshes the slot every
-    /// iteration, so it can be read live.  `None` keeps the counters
-    /// port-local.
+    /// result after the reactor exits.  The reactor refreshes the slot
+    /// every iteration, so it can be read live.  `None` keeps the
+    /// counters reactor-local.
     pub counters_slot: Option<Arc<Mutex<PortStats>>>,
 }
 

@@ -4,7 +4,7 @@
 //! *cost*, measured as messages and waiting time per critical section.
 //! This crate turns that cost from a post-hoc aggregate into a measured,
 //! per-message-type, per-link, causally ordered quantity — on every
-//! substrate (simulator, virtual test network, threaded runtime, TCP).
+//! substrate (simulator, virtual test network, TCP).
 //!
 //! Three pieces:
 //!

@@ -691,7 +691,7 @@ where
     }
 }
 
-/// Configuration for [`run_random_workload`].
+/// Configuration for [`run_faulty_workload`] and [`run_random_workload`].
 #[derive(Clone, Debug)]
 pub struct ExerciseCfg {
     /// Requests each active node must complete.
@@ -724,138 +724,27 @@ impl Default for ExerciseCfg {
     }
 }
 
-/// Outcome of a randomized workload run.
-#[derive(Clone, Debug)]
-pub struct ExerciseReport {
-    /// Critical sections completed (== rounds_per_node × active nodes).
-    pub cs_completed: u64,
-    /// Scheduler actions executed.
-    pub actions: u64,
-    /// Messages delivered.
-    pub delivered: u64,
-    /// Maximum CS concurrency observed (≥ 2 proves the concurrency property
-    /// is exploited on non-conflicting requests).
-    pub max_concurrency: usize,
-}
-
 /// Drive a network with a random workload under a random interleaving and
-/// check safety + liveness throughout.
-///
-/// Every active node performs `rounds_per_node` request/CS/release cycles
-/// with uniformly random resource sets.  Actions (deliver a message, issue a
-/// request, progress a CS) are chosen uniformly at random, so every
-/// interleaving has positive probability.
+/// check safety + liveness throughout: [`run_faulty_workload`] on a
+/// network that must not starve a single request.
 ///
 /// # Panics
-/// * on any safety violation (via [`SafetyMonitor`]);
-/// * on deadlock: requests pending but no action possible;
-/// * on liveness failure: `step_cap` exceeded.
+/// As [`run_faulty_workload`], and on any starvation (a deadlock).
 pub fn run_random_workload<A: Allocator>(
     net: &mut VirtualNet<A>,
     cfg: &ExerciseCfg,
     rng: &mut StdRng,
-) -> ExerciseReport {
-    let n_active = cfg.active_nodes.unwrap_or(net.len());
-    assert!(n_active <= net.len());
-    assert!(cfg.max_req_size >= 1 && cfg.max_req_size <= cfg.m);
-
-    let mut quota = vec![cfg.rounds_per_node; n_active];
-    let mut holds = vec![0usize; n_active];
-    let mut completed = 0u64;
-    let mut actions = 0u64;
-    let mut max_conc = 0usize;
-
-    #[derive(Clone, Copy)]
-    enum Act {
-        Deliver,
-        Issue(NodeId),
-        Hold(NodeId),
-    }
-
-    loop {
-        let mut candidates: Vec<Act> = Vec::new();
-        if net.in_flight() > 0 {
-            // Weight delivery in proportion to in-flight traffic so queues
-            // drain; one entry per message keeps selection uniform-ish.
-            for _ in 0..net.in_flight().min(8) {
-                candidates.push(Act::Deliver);
-            }
-        }
-        for (i, &q) in quota.iter().enumerate().take(n_active) {
-            if net.in_cs(i) {
-                candidates.push(Act::Hold(i));
-            } else if q > 0 && net.state(i) == ProcState::Idle {
-                candidates.push(Act::Issue(i));
-            }
-        }
-
-        if candidates.is_empty() {
-            let waiting: Vec<NodeId> = (0..n_active)
-                .filter(|&i| {
-                    !net.in_cs(i) && net.state(i) != ProcState::Idle
-                })
-                .collect();
-            if waiting.is_empty() {
-                break; // all quotas exhausted, everything granted: done
-            }
-            let states: Vec<String> = (0..net.len())
-                .map(|i| format!("n{}={}", i, net.state(i)))
-                .collect();
-            panic!(
-                "DEADLOCK: nodes {waiting:?} waiting, no messages in flight, \
-                 nobody in CS; states: {}",
-                states.join(" ")
-            );
-        }
-
-        match candidates[rng.gen_range(0..candidates.len())] {
-            Act::Deliver => {
-                net.deliver_one(rng);
-            }
-            Act::Issue(i) => {
-                let size = rng.gen_range(1..=cfg.max_req_size);
-                let mut set = ResourceSet::new();
-                while set.len() < size {
-                    set.insert(rng.gen_range(0..cfg.m));
-                }
-                quota[i] -= 1;
-                holds[i] = cfg.hold_steps;
-                net.request(i, set);
-            }
-            Act::Hold(i) => {
-                if holds[i] > 0 {
-                    holds[i] -= 1;
-                } else {
-                    net.release(i);
-                    completed += 1;
-                }
-            }
-        }
-        max_conc = max_conc.max(net.monitor.concurrency());
-        actions += 1;
-        assert!(
-            actions <= cfg.step_cap,
-            "LIVENESS FAILURE: exceeded {} actions with {} CS completed \
-             (of {}); in flight: {}",
-            cfg.step_cap,
-            completed,
-            (cfg.rounds_per_node * n_active) as u64,
-            net.in_flight()
-        );
-    }
-
-    ExerciseReport {
-        cs_completed: completed,
-        actions,
-        delivered: net.delivered(),
-        max_concurrency: max_conc,
-    }
+) -> FaultyReport {
+    let report = run_faulty_workload(net, cfg, rng);
+    assert!(report.starved.is_empty(), "DEADLOCK: nodes {:?} starved", report.starved);
+    report
 }
 
-/// Outcome of [`run_faulty_workload`].
+/// Outcome of a randomized workload run.
 #[derive(Clone, Debug)]
 pub struct FaultyReport {
-    /// Critical sections completed.
+    /// Critical sections completed (== rounds_per_node × active nodes
+    /// unless the fault plan starved someone).
     pub cs_completed: u64,
     /// Nodes left waiting forever because the fault plan destroyed the
     /// liveness of their request (empty under a non-lossy plan).
@@ -864,6 +753,9 @@ pub struct FaultyReport {
     pub actions: u64,
     /// Messages actually delivered to protocol handlers.
     pub delivered: u64,
+    /// Maximum CS concurrency observed (≥ 2 proves the concurrency property
+    /// is exploited on non-conflicting requests).
+    pub max_concurrency: usize,
     /// What the fault layer did.
     pub stats: FaultStats,
     /// What the reliable session layer did (all-zero when disabled).
@@ -871,16 +763,21 @@ pub struct FaultyReport {
 }
 
 /// Drive a (possibly faulty) network with a random workload and check the
-/// invariants that must survive an imperfect network:
+/// invariants that must survive an imperfect network.
+///
+/// Every active node performs `rounds_per_node` request/CS/release cycles
+/// with uniformly random resource sets.  Actions (deliver a message, issue a
+/// request, progress a CS) are chosen uniformly at random, so every
+/// interleaving has positive probability.  Checked:
 ///
 /// * **safety** — continuously, via the [`SafetyMonitor`] (any exclusivity
 ///   violation panics);
 /// * **conservation** — after quiescence every granted resource was
 ///   released: nobody is left in CS and the holder table is empty
 ///   ([`SafetyMonitor::assert_conservation`]);
-/// * **fault-aware liveness** — under a *non-lossy* plan (clean, dup-only)
-///   every request must complete, exactly like [`run_random_workload`];
-///   under a lossy plan **without** the session layer starved nodes are
+/// * **fault-aware liveness** — on a clean network and under a
+///   *non-lossy* plan (dup-only) every request must complete; under a
+///   lossy plan **without** the session layer starved nodes are
 ///   *reported*, not treated as failures — a dropped token legitimately
 ///   destroys liveness.  With [`VirtualNet::enable_reliability`] on and a
 ///   [recoverable](FaultPlan::is_recoverable) plan (every drop rate
@@ -916,6 +813,7 @@ pub fn run_faulty_workload<A: Allocator>(
     let mut holds = vec![0usize; n_active];
     let mut completed = 0u64;
     let mut actions = 0u64;
+    let mut max_conc = 0usize;
     let mut starved: Vec<NodeId> = Vec::new();
 
     #[derive(Clone, Copy)]
@@ -928,6 +826,8 @@ pub fn run_faulty_workload<A: Allocator>(
     loop {
         let mut candidates: Vec<Act> = Vec::new();
         if net.in_flight() > 0 {
+            // Weight delivery in proportion to in-flight traffic so queues
+            // drain; one entry per message keeps selection uniform-ish.
             for _ in 0..net.in_flight().min(8) {
                 candidates.push(Act::Deliver);
             }
@@ -970,9 +870,8 @@ pub fn run_faulty_workload<A: Allocator>(
                 .map(|i| format!("n{}={}", i, net.state(i)))
                 .collect();
             panic!(
-                "DEADLOCK under a non-lossy fault plan: nodes {waiting:?} \
-                 waiting, nothing in flight, nobody in CS; states: {} \
-                 (reliability {}; rel {:?}; faults {:?})",
+                "DEADLOCK: nodes {waiting:?} waiting, nothing in flight, \
+                 nobody in CS; states: {} (reliability {}; rel {:?}; faults {:?})",
                 states.join(" "),
                 if net.reliability_on() { "on" } else { "off" },
                 net.reliability_stats(),
@@ -1003,12 +902,14 @@ pub fn run_faulty_workload<A: Allocator>(
                 }
             }
         }
+        max_conc = max_conc.max(net.monitor.concurrency());
         actions += 1;
         assert!(
             actions <= cfg.step_cap,
             "LIVENESS FAILURE: exceeded {} actions with {completed} CS \
-             completed; in flight: {}",
+             completed (of {}); in flight: {}",
             cfg.step_cap,
+            (cfg.rounds_per_node * n_active) as u64,
             net.in_flight()
         );
     }
@@ -1039,6 +940,7 @@ pub fn run_faulty_workload<A: Allocator>(
         starved,
         actions,
         delivered: net.delivered(),
+        max_concurrency: max_conc,
         stats: net.fault_stats(),
         reliability: net.reliability_stats(),
     }

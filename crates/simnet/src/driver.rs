@@ -11,7 +11,7 @@
 //! 4. hold the resources for α, release, go to 1.
 //!
 //! The driver is engine-agnostic: both the discrete-event simulator and the
-//! threaded runtime embed it.
+//! TCP node (`mra-net`) embed it.
 
 use mra_types::{ResourceSet, Time};
 use rand::rngs::StdRng;

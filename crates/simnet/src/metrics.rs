@@ -132,7 +132,7 @@ pub struct RunResult {
     /// (censored: excluded from waiting-time stats, reported for honesty).
     pub censored: u64,
     /// Engine events processed over the whole run (simulator runs only;
-    /// zero under the threaded/TCP runtimes, which have no event loop).
+    /// zero under TCP, which has no simulated event loop).
     pub events_processed: u64,
     /// Wall-clock nanoseconds the engine spent executing the run (again
     /// simulator-only).  Purely observational: it never feeds back into
@@ -141,12 +141,10 @@ pub struct RunResult {
     /// What the fault layer did during the run, summed over the nodes'
     /// link endpoints (and, in the simulator, the outage and partition
     /// windows).  All-zero when no
-    /// [`FaultPlan`](mra_protocol::faults::FaultPlan) was installed, and
-    /// under the mpsc threaded runtime, which has no fault layer.
+    /// [`FaultPlan`](mra_protocol::faults::FaultPlan) was installed.
     pub faults: FaultStats,
     /// What the reliable session layer did during the run, summed over the
-    /// nodes' link endpoints.  All-zero when reliability is off, and under
-    /// the mpsc threaded runtime, which has no session layer.
+    /// nodes' link endpoints.  All-zero when reliability is off.
     pub reliability: ReliabilityStats,
     /// How many shards the simulator engine ran on (1 for the sequential
     /// path and for the non-simulator runtimes).
@@ -428,7 +426,7 @@ impl Collector {
     /// Close the run at `end`: outstanding requests are folded (granted
     /// ones contribute busy time up to the window end; ungranted ones are
     /// counted as censored).  The window is clamped to the actual end so
-    /// open-ended runs (threaded runtime) get a correct use-rate
+    /// open-ended runs (TCP clusters) get a correct use-rate
     /// denominator.
     pub fn finish(mut self, algo: &str, n: usize, end: Time) -> RunResult {
         if end < self.window.1 {

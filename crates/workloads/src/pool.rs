@@ -16,12 +16,15 @@
 //! place.  The pool is std-only (`std::thread::scope`) because the build
 //! environment is offline; no rayon, no crossbeam.
 
-// Poison-tolerant lock shared with the node runtime: a worker panic (e.g.
-// a safety violation inside a simulation) must surface as that panic when
-// the scope joins, not as a `PoisonError` cascade from a sibling.
-use mra_sim::runtime::lock;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+/// Poison-tolerant lock: a worker panic (e.g. a safety violation inside a
+/// simulation) must surface as that panic when the scope joins, not as a
+/// `PoisonError` cascade from a sibling.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// The thread count a sweep will use: `MRA_THREADS` if set to an integer
 /// ≥ 1 (`1` forces the sequential path), otherwise the machine's available

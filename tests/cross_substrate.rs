@@ -1,12 +1,12 @@
 //! Cross-substrate conformance: one fixed scenario — 8 active nodes, 16
 //! resources, paper LAN latency (γ = 0.6 ms where the substrate has a
-//! clock), seed 42, fault-free plan — runs on the three in-process
-//! substrates (`VirtualNet`, the discrete-event `Sim`, the mpsc threaded
-//! runtime) and they must agree on `cs_entered` **per node**, for **all
-//! six protocol families** of the evaluation.
+//! clock), seed 42, fault-free plan — runs on the three substrates
+//! (`VirtualNet`, the discrete-event `Sim`, a loopback TCP cluster) and
+//! they must agree on `cs_entered` **per node**, for **all six protocol
+//! families** of the evaluation.
 //!
 //! The substrates cannot share a message schedule (one has no clock, one
-//! has a virtual clock, one real threads), so agreement is made exact by
+//! has a virtual clock, one real sockets), so agreement is made exact by
 //! running a *quota* workload: every node performs exactly `ROUNDS`
 //! request/CS/release cycles.  Safety + liveness on each substrate then
 //! force the identical per-node count — any double grant, lost grant or
@@ -21,16 +21,14 @@
 
 use mra::baselines::{BouabdallahLaforest, Central, GrantPolicy, Incremental, Maddi};
 use mra::core::LassConfig;
+use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::protocol::testkit::{
     run_faulty_workload, run_random_workload, ExerciseCfg, VirtualNet,
 };
-use mra::protocol::Allocator;
-use mra::sim::{
-    run_threaded, FixedWorkload, LatencyModel, RunResult, Sim, SimConfig, ThreadedConfig,
-    Workload,
-};
+use mra::protocol::{Allocator, WireCodec};
+use mra::sim::{FixedWorkload, LatencyModel, RunResult, Sim, SimConfig, Workload};
 use mra::types::{ResourceSet, Time};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -92,6 +90,7 @@ fn per_node(res: &RunResult, active: usize) -> Vec<usize> {
 fn conformance<A, F>(build: F, active: Option<usize>)
 where
     A: Allocator + Send + 'static,
+    A::Msg: WireCodec,
     F: Fn() -> Vec<A>,
 {
     let n_total = build().len();
@@ -147,18 +146,17 @@ where
         per_node(&res, n_active)
     };
 
-    // Substrate 3: the mpsc threaded runtime (real concurrency, emulated
-    // γ = 0.6 ms links), natively quota-based.
-    let mpsc_counts = {
-        let res = run_threaded(
+    // Substrate 3: a loopback TCP cluster (real concurrency, γ = 0.6 ms
+    // emulated on top of the wire), natively quota-based.
+    let tcp_counts = {
+        let res = run_tcp_cluster(
             build(),
             (0..n_total).map(|_| fixed()).collect::<Vec<_>>(),
             M,
-            ThreadedConfig {
-                rounds: ROUNDS,
-                latency: Time::from_micros(600),
-                seed: SEED,
+            TcpClusterConfig {
+                extra_latency: Time::from_micros(600),
                 active_nodes: active,
+                ..TcpClusterConfig::new(ROUNDS, SEED)
             },
         );
         assert_eq!(res.censored, 0);
@@ -170,8 +168,8 @@ where
         "Sim disagrees with VirtualNet on cs_entered per node"
     );
     assert_eq!(
-        mpsc_counts, vnet_counts,
-        "mpsc runtime disagrees with VirtualNet on cs_entered per node"
+        tcp_counts, vnet_counts,
+        "TCP cluster disagrees with VirtualNet on cs_entered per node"
     );
 }
 

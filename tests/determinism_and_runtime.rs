@@ -1,8 +1,5 @@
-//! Determinism guarantees and threaded-runtime validation.
+//! Determinism guarantees of the simulated experiments.
 
-use mra::core::LassConfig;
-use mra::sim::{run_threaded, FixedWorkload, ThreadedConfig};
-use mra::types::Time;
 use mra::workloads::{run, Algorithm, Load, Scenario};
 
 fn sc(seed: u64) -> Scenario {
@@ -46,68 +43,6 @@ fn different_seeds_differ() {
         (a.cs_completed, a.msgs_total),
         (b.cs_completed, b.msgs_total)
     );
-}
-
-#[test]
-fn threaded_runtime_agrees_with_simulator_on_safety_and_quota() {
-    // Small but real: 6 threads, 12 resources, everyone completes its
-    // quota under genuine parallelism (safety checked by the monitor).
-    let cfg = LassConfig::with_loan(6, 12);
-    let workloads: Vec<FixedWorkload> = (0..6)
-        .map(|_| FixedWorkload {
-            think: Time::from_micros(300),
-            cs: Time::from_micros(500),
-            m: 12,
-            size: 3,
-        })
-        .collect();
-    let res = run_threaded(
-        cfg.build_nodes(),
-        workloads,
-        12,
-        ThreadedConfig {
-            rounds: 8,
-            latency: Time::from_micros(100),
-            seed: 5,
-            active_nodes: None,
-        },
-    );
-    assert_eq!(res.cs_completed, 48);
-    assert_eq!(res.censored, 0);
-    assert!(res.use_rate() > 0.0);
-    assert!(res.msgs_total > 0);
-}
-
-#[test]
-fn threaded_runtime_runs_every_algorithm() {
-    use mra::baselines::{BouabdallahLaforest, Incremental, Maddi};
-    let workloads = |n: usize| -> Vec<FixedWorkload> {
-        (0..n)
-            .map(|_| FixedWorkload {
-                think: Time::from_micros(200),
-                cs: Time::from_micros(400),
-                m: 8,
-                size: 2,
-            })
-            .collect()
-    };
-    let tc = |seed| ThreadedConfig {
-        rounds: 5,
-        latency: Time::from_micros(50),
-        seed,
-        active_nodes: None,
-    };
-    let r = run_threaded(Incremental::build_nodes(4, 8), workloads(4), 8, tc(1));
-    assert_eq!(r.cs_completed, 20);
-    let r = run_threaded(
-        BouabdallahLaforest::build_nodes(4, 8),
-        workloads(4),
-        8,
-        tc(2),
-    );
-    assert_eq!(r.cs_completed, 20);
-    let r = run_threaded(Maddi::build_nodes(4, 8), workloads(4), 8, tc(3));
-    assert_eq!(r.cs_completed, 20);
 }
 
 #[test]

@@ -13,6 +13,7 @@ use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::sim::FixedWorkload;
 use mra::types::Time;
+use std::time::{Duration, Instant};
 
 const N: usize = 8;
 const M: usize = 16;
@@ -138,4 +139,65 @@ fn lass_handles_emulated_wan_latency_over_tcp() {
     );
     assert_eq!(res.cs_completed, 12);
     assert_eq!(res.censored, 0);
+}
+
+#[test]
+fn emulated_latency_does_not_stretch_critical_sections() {
+    // Every node's CS-end timer falls due while messages are still held
+    // back by the emulated link latency; the node must leave its critical
+    // section on its own timer, not once the held-back message is due.
+    let extra = Time::from_millis(2);
+    let res = run_tcp_cluster(
+        LassConfig::with_loan(4, 8).build_nodes(),
+        (0..4)
+            .map(|_| FixedWorkload {
+                think: Time::from_micros(200),
+                cs: Time::from_micros(100),
+                m: 8,
+                size: 2,
+            })
+            .collect(),
+        8,
+        TcpClusterConfig {
+            extra_latency: extra,
+            ..TcpClusterConfig::new(10, 42)
+        },
+    );
+    assert_eq!(res.cs_completed, 40);
+    for r in &res.records {
+        let held = r.released.expect("released") - r.granted.expect("granted");
+        assert!(
+            held < extra,
+            "node {} held a 100 us critical section for {:.3} ms",
+            r.node,
+            held.as_millis_f64()
+        );
+    }
+}
+
+#[test]
+fn sub_millisecond_timers_on_tcp() {
+    // 50 us think times and 20 us critical sections: timers rounded up
+    // to whole milliseconds would cost at least 2 ms per round.
+    const R: usize = 200;
+    let t0 = Instant::now();
+    let res = run_tcp_cluster(
+        LassConfig::with_loan(2, 4).build_nodes(),
+        (0..2)
+            .map(|_| FixedWorkload {
+                think: Time::from_micros(50),
+                cs: Time::from_micros(20),
+                m: 4,
+                size: 1,
+            })
+            .collect(),
+        4,
+        TcpClusterConfig::new(R, 7),
+    );
+    let wall = t0.elapsed();
+    assert_eq!(res.cs_completed, 2 * R as u64);
+    assert!(
+        wall < Duration::from_millis(R as u64),
+        "{R} rounds took {wall:?}"
+    );
 }
