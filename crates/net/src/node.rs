@@ -270,7 +270,7 @@ impl<A: Allocator, W: Workload> Node<A, W> {
             for (to, msg) in self.ctx.drain_outbox() {
                 collector.on_message(msg.kind(), msg.weight());
                 if let Some(t) = obs.as_deref_mut() {
-                    t.on_send(self.me, to, msg.kind(), msg.weight() as u32, None);
+                    t.on_send(self.me, to, msg.kind(), msg.weight() as u32);
                 }
                 send(to, msg);
             }
@@ -280,15 +280,11 @@ impl<A: Allocator, W: Workload> Node<A, W> {
             let size = set.len() as u32;
             lock(&shared.monitor).enter(self.me, set);
             let now = shared.now();
-            let waits = lock(&shared.collector).on_grant(self.me, now);
+            lock(&shared.collector).on_grant(self.me, now);
             self.workload.on_grant(now);
             if let Some(obs) = &shared.obs {
                 let mut t = lock(obs);
                 t.set_key(now, 0);
-                if let Some((wait, serve)) = waits {
-                    t.record_wait(wait);
-                    t.record_serve(serve);
-                }
                 t.on_cs(EventKind::CsEnter, self.me, size);
             }
             let cs = self.driver.granted();

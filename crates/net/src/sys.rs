@@ -1,23 +1,21 @@
 //! Thin raw-FFI helpers the reactor transport needs beyond what `std`
-//! exposes: nonblocking `connect(2)`, a deeper listen backlog, raising
-//! the fd soft limit for big meshes, and process CPU time for the
-//! frames-per-core benchmark.  Everything links against the platform
-//! libc that `std` already pulls in — no new dependencies, matching the
-//! offline-deps pattern of `vendor/`.
+//! exposes: nonblocking `connect(2)`, a deeper listen backlog, and raising
+//! the fd soft limit for big meshes.  Everything links against the
+//! platform libc that `std` already pulls in — no new dependencies,
+//! matching the offline-deps pattern of `vendor/`.
 //!
 //! Non-unix builds get honest fallbacks: blocking connect, no-op backlog
-//! and rlimit tweaks, wall-clock standing in for CPU time (the reactor
-//! itself is unix-only — see `crate::reactor`).
+//! and rlimit tweaks (the reactor itself is unix-only — see
+//! `crate::reactor`).
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
 
 #[cfg(unix)]
 mod imp {
     use super::*;
     use std::mem;
-    use std::os::raw::{c_int, c_long, c_void};
+    use std::os::raw::{c_int, c_void};
     use std::os::unix::io::{AsRawFd, FromRawFd};
 
     const AF_INET: c_int = 2;
@@ -67,28 +65,12 @@ mod imp {
         rlim_max: u64,
     }
 
-    #[repr(C)]
-    struct Timeval {
-        tv_sec: c_long,
-        tv_usec: c_long,
-    }
-
-    /// Leading fields of `struct rusage` (`ru_utime` + `ru_stime`); the
-    /// kernel writes the full struct, so the buffer pads out the rest.
-    #[repr(C)]
-    struct RusageHead {
-        ru_utime: Timeval,
-        ru_stime: Timeval,
-        _pad: [u64; 32],
-    }
-
     extern "C" {
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         fn listen(fd: c_int, backlog: c_int) -> c_int;
         fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
         fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
-        fn getrusage(who: c_int, usage: *mut RusageHead) -> c_int;
         fn close(fd: c_int) -> c_int;
     }
 
@@ -193,22 +175,6 @@ mod imp {
         Ok(want.rlim_cur)
     }
 
-    /// CPU time (user + system) consumed by this process so far.
-    pub fn process_cpu_time() -> Duration {
-        let mut ru = RusageHead {
-            ru_utime: Timeval { tv_sec: 0, tv_usec: 0 },
-            ru_stime: Timeval { tv_sec: 0, tv_usec: 0 },
-            _pad: [0; 32],
-        };
-        // RUSAGE_SELF = 0 everywhere.
-        if unsafe { getrusage(0, &mut ru) } < 0 {
-            return Duration::ZERO;
-        }
-        let secs = (ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) as u64;
-        let usecs = (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) as u64;
-        Duration::from_secs(secs) + Duration::from_micros(usecs)
-    }
-
     /// Close an arbitrary fd (used only in tests; `TcpStream` closes its
     /// own on drop).
     #[allow(dead_code)]
@@ -238,18 +204,15 @@ mod imp {
     pub fn raise_nofile_limit(_needed: u64) -> io::Result<u64> {
         Ok(u64::MAX)
     }
-
-    pub fn process_cpu_time() -> Duration {
-        Duration::ZERO
-    }
 }
 
-pub use imp::{connect_nonblocking, listen_backlog, process_cpu_time, raise_nofile_limit};
+pub use imp::{connect_nonblocking, listen_backlog, raise_nofile_limit};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
+    use std::time::Duration;
 
     #[test]
     fn nonblocking_connect_completes_against_a_listener() {
@@ -301,18 +264,5 @@ mod tests {
         listen_backlog(&l, 1024).expect("re-listen with deeper backlog");
         let lim = raise_nofile_limit(256).expect("query/raise fd limit");
         assert!(lim >= 256);
-    }
-
-    #[test]
-    fn cpu_time_is_monotone() {
-        let a = process_cpu_time();
-        // Burn a little CPU so the clock visibly advances on unix.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        std::hint::black_box(acc);
-        let b = process_cpu_time();
-        assert!(b >= a);
     }
 }

@@ -5,8 +5,8 @@
 //! two — and answers quantiles with at most one bucket (~2×) of relative
 //! error.  That trade is what lets live metrics survive millions of
 //! requests: recording is two array ops, merging is 64 additions, and the
-//! struct never allocates after construction (it is embedded in the
-//! tracer that the zero-alloc guard covers).
+//! struct never allocates after construction (the serving layer keeps one
+//! per node for its arrival → grant latency).
 
 /// Number of buckets: bucket `b` (b ≥ 1) holds values in `[2^(b-1), 2^b)`,
 /// bucket 0 holds exactly 0.  64 buckets cover the full `u64` range.

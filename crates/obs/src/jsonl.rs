@@ -1,6 +1,5 @@
 //! JSONL trace export/import — hand-rolled, like the rest of the
-//! workspace's JSON (no serde offline; same approach as
-//! `write_bench_engine_json`).
+//! workspace's text formats (no serde offline).
 //!
 //! ## Schema
 //!

@@ -16,9 +16,9 @@
 //!   so the simulator's zero-alloc guard passes with tracing compiled in
 //!   and disarmed.
 //! * **Low-overhead live metrics** ([`hist`], [`registry`]) — log2-bucketed
-//!   [`LogHist`] histograms (waiting time, message latency, queue depth)
-//!   and per-message-type counters: mergeable fixed-size state that scales
-//!   to millions of requests where full sample vectors cannot.
+//!   [`LogHist`] histograms (the serving layer's arrival → grant latency)
+//!   and per-message-type network counters: mergeable fixed-size state
+//!   that scales to millions of requests where full sample vectors cannot.
 //! * **Sinks + analysis** ([`jsonl`], [`analyze`]) — an in-memory ring or
 //!   unbounded sink, a hand-rolled JSONL export/import (this workspace has
 //!   no serde), and the causal-consistency checks behind the `mra-trace`

@@ -337,7 +337,7 @@ impl<A: Allocator> VirtualNet<A> {
             for (stamp, packet) in queue.iter_mut() {
                 // Standalone acks stay untraced.
                 if let Some(msg) = packet.msg() {
-                    *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32, None);
+                    *stamp = tracer.on_send(src, dst, msg.kind(), msg.weight() as u32);
                 }
             }
         }
@@ -498,11 +498,8 @@ impl<A: Allocator> VirtualNet<A> {
             Recv::Deliver(msg) => {
                 self.tick();
                 self.delivered += 1;
-                // One dispatch key per delivery; the in-flight count
-                // doubles as the queue-depth sample (the net has no event
-                // queue).
-                self.tracer
-                    .on_dispatch(Time::from_nanos(self.steps), 0, self.in_flight());
+                // One dispatch key per delivery.
+                self.tracer.set_key(Time::from_nanos(self.steps), 0);
                 self.tracer
                     .on_recv(src, dst, msg.kind(), msg.weight() as u32, stamp);
                 let slot = &mut self.slots[dst];
@@ -553,7 +550,7 @@ impl<A: Allocator> VirtualNet<A> {
         // link queues are appended — no per-dispatch allocation.
         let Slot { ctx, link, .. } = &mut self.slots[i];
         for (to, msg) in ctx.drain_outbox() {
-            let stamp = self.tracer.on_send(i, to, msg.kind(), msg.weight() as u32, None);
+            let stamp = self.tracer.on_send(i, to, msg.kind(), msg.weight() as u32);
             let packet = link.send(to, msg, Time::ZERO);
             self.links[i * self.n + to].push_back((stamp, packet));
         }

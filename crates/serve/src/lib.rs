@@ -18,8 +18,8 @@
 //!   the engines' pull-based `Workload` trait and reports intended-arrival
 //!   timestamps so latency is keyed where the request *arrived*, not where
 //!   the closed loop got around to issuing it;
-//! * [`stats`] — end-to-end (arrival → grant → release) latency histograms
-//!   and conservation counters shared out of the consumed workload.
+//! * [`stats`] — the arrival → grant latency histogram and conservation
+//!   counters shared out of the consumed workload.
 
 pub mod admission;
 pub mod arrivals;

@@ -1,18 +1,18 @@
-//! Serving-layer accounting: admission counters and end-to-end latency
-//! histograms.
+//! Serving-layer accounting: admission counters and the arrival → grant
+//! latency histogram.
 //!
-//! Latencies here are keyed by *intended arrival* time, not issue time —
+//! Latency here is keyed by *intended arrival* time, not issue time —
 //! that is the whole point of the serving layer's measurement contract.
-//! An engine-side `wait` histogram keyed by issue time understates tail
-//! latency whenever the admission queue is non-empty (coordinated
-//! omission); the `grant`/`done` histograms below include that queueing.
+//! Waiting time keyed by issue time understates tail latency whenever the
+//! admission queue is non-empty (coordinated omission); the `grant`
+//! histogram below includes that queueing.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use mra_obs::LogHist;
 use mra_types::Time;
 
-/// Counters + histograms for one node's serving layer.
+/// Counters + the grant-latency histogram for one node's serving layer.
 ///
 /// Conservation invariant (checked by tests, reported by benches):
 /// `offered == admitted + shed_depth + shed_class`, and at quiescence
@@ -39,8 +39,6 @@ pub struct ServeStats {
     pub depth_high_water: usize,
     /// Intended-arrival → grant latency, per request (not per batch).
     pub grant_latency: LogHist,
-    /// Intended-arrival → release latency, per request.
-    pub done_latency: LogHist,
 }
 
 impl ServeStats {
@@ -51,11 +49,9 @@ impl ServeStats {
             .record(now.saturating_sub(arrival).as_nanos());
     }
 
-    /// Record one request's completion, keyed by its intended arrival.
-    pub fn on_done(&mut self, arrival: Time, now: Time) {
+    /// Record one request's completion.
+    pub fn on_done(&mut self) {
         self.served += 1;
-        self.done_latency
-            .record(now.saturating_sub(arrival).as_nanos());
     }
 
     /// Total shed arrivals.
@@ -75,7 +71,6 @@ impl ServeStats {
         self.served += other.served;
         self.depth_high_water = self.depth_high_water.max(other.depth_high_water);
         self.grant_latency.merge(&other.grant_latency);
-        self.done_latency.merge(&other.done_latency);
     }
 }
 
@@ -126,7 +121,7 @@ mod tests {
             g.admitted = 2;
             g.shed_depth = 1;
             g.on_grant(Time::from_millis(1), Time::from_millis(5));
-            g.on_done(Time::from_millis(1), Time::from_millis(9));
+            g.on_done();
         }
         {
             let mut g = b.lock();
@@ -142,6 +137,5 @@ mod tests {
         assert_eq!(t.served, 1);
         assert_eq!(t.depth_high_water, 7);
         assert_eq!(t.grant_latency.count(), 1);
-        assert_eq!(t.done_latency.count(), 1);
     }
 }

@@ -59,9 +59,8 @@ pub struct WaitStats {
     pub p95_ms: f64,
     /// 99th percentile (ms).
     pub p99_ms: f64,
-    /// 99.9th percentile (ms) — the tail-SLO figure.  Exact here (full
-    /// sample vector); the live, fixed-memory variant is the log2
-    /// histogram in [`mra_obs::LogHist`], reported via `RunResult::obs`.
+    /// 99.9th percentile (ms) — the tail-SLO figure.  Exact (full sample
+    /// vector).
     pub p999_ms: f64,
 }
 
@@ -70,13 +69,12 @@ impl WaitStats {
     /// and sorts them **once**: median, p95, p99 and p999 then use the
     /// [`stats::percentile_sorted`] fast path instead of re-sorting a clone
     /// per percentile (this sits on the per-report hot path of every
-    /// figure sweep and bench run).
+    /// figure sweep).
     ///
     /// With zero samples the percentile fields are `NaN` (a percentile of
-    /// nothing does not exist — see [`stats::percentile`], and
-    /// [`mra_obs::LogHist::quantile`] for the same contract on the live
-    /// histograms); render them with [`WaitStats::cell`], which writes
-    /// `"n/a"` instead of leaking `NaN` into tables and CSVs.
+    /// nothing does not exist — see [`stats::percentile`]); render them
+    /// with [`WaitStats::cell`], which writes `"n/a"` instead of leaking
+    /// `NaN` into tables and CSVs.
     pub fn from_ms(mut ms: Vec<f64>) -> Self {
         ms.sort_by(|a, b| a.total_cmp(b));
         WaitStats {
@@ -134,10 +132,6 @@ pub struct RunResult {
     /// Engine events processed over the whole run (simulator runs only;
     /// zero under TCP, which has no simulated event loop).
     pub events_processed: u64,
-    /// Wall-clock nanoseconds the engine spent executing the run (again
-    /// simulator-only).  Purely observational: it never feeds back into
-    /// the simulation, so determinism is unaffected.
-    pub wall_ns: u64,
     /// What the fault layer did during the run, summed over the nodes'
     /// link endpoints (and, in the simulator, the outage and partition
     /// windows).  All-zero when no
@@ -152,8 +146,8 @@ pub struct RunResult {
     /// Events processed per shard (sums to `events_processed`; empty for
     /// the non-simulator runtimes).
     pub shard_events: Vec<u64>,
-    /// Observability capture: live histograms and (when armed) the causal
-    /// event trace.  Default (disarmed) unless tracing was enabled via
+    /// Observability capture: the causal event trace (when armed) and the
+    /// transport counters.  Default (disarmed) unless tracing was enabled via
     /// `Sim::set_tracing` / `MRA_TRACE`.
     pub obs: ObsReport,
 }
@@ -225,16 +219,6 @@ impl RunResult {
             lo = hi + 1;
         }
         out
-    }
-
-    /// Simulator throughput in events per wall-clock second — the tracked
-    /// engine-performance metric (`BENCH_engine.json`).  Zero when the run
-    /// recorded no wall time (non-simulator engines).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 0.0;
-        }
-        self.events_processed as f64 * 1e9 / self.wall_ns as f64
     }
 
     /// Messages per completed critical section (message complexity proxy).
@@ -316,16 +300,11 @@ impl Collector {
         });
     }
 
-    /// The node entered its CS.  Returns `(issue → grant, arrival →
-    /// grant)` when a matching outstanding request exists (the tracer
-    /// feeds them to the live wait/serve histograms without recomputing).
-    pub fn on_grant(&mut self, node: NodeId, now: Time) -> Option<(Time, Time)> {
+    /// The node entered its CS: stamp the outstanding request's grant.
+    pub fn on_grant(&mut self, node: NodeId, now: Time) {
         if let Some(rec) = self.outstanding[node].as_mut() {
             debug_assert!(rec.granted.is_none());
             rec.granted = Some(now);
-            Some((now - rec.issued, now - rec.arrival))
-        } else {
-            None
         }
     }
 
@@ -467,7 +446,6 @@ impl Collector {
             cs_completed: self.cs_completed,
             censored,
             events_processed: 0,
-            wall_ns: 0,
             faults: FaultStats::default(),
             reliability: ReliabilityStats::default(),
             shards: 1,
@@ -531,9 +509,7 @@ mod tests {
         // latency sees the full 10 ms — the coordinated-omission gap.
         let mut c = Collector::new(1, 1, (t(0), t(100)));
         c.on_issue(0, ResourceSet::singleton(0), t(16), t(10));
-        let (wait, serve) = c.on_grant(0, t(20)).unwrap();
-        assert_eq!(wait, t(4));
-        assert_eq!(serve, t(10));
+        c.on_grant(0, t(20));
         c.on_release(0, t(25));
         let res = c.finish("x", 1, t(100));
         assert_eq!(res.records[0].wait(), Some(t(4)));
@@ -668,15 +644,5 @@ mod tests {
         }
         // Canonical order: node 1 issued first, so it sorts first.
         assert_eq!(merged.records[0].node, 1);
-    }
-
-    #[test]
-    fn events_per_sec_requires_wall_time() {
-        let c = Collector::new(1, 1, (t(0), t(10)));
-        let mut res = c.finish("x", 1, t(10));
-        assert_eq!(res.events_per_sec(), 0.0);
-        res.events_processed = 2_000;
-        res.wall_ns = 1_000_000; // 1 ms
-        assert!((res.events_per_sec() - 2_000_000.0).abs() < 1e-6);
     }
 }

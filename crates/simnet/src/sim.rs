@@ -49,7 +49,6 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -314,12 +313,6 @@ impl<M> EventQueue<M> {
         self.heap.first().map(|k| k.at)
     }
 
-    /// Number of queued events (the tracer's queue-depth sample).
-    #[inline]
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
@@ -501,7 +494,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             // `sample` fast-paths deterministic models (the paper's
             // γ = const) without touching the RNG.
             let lat = latency.sample(from, to, net_rng);
-            let stamp = tracer.on_send(from, to, msg.kind(), msg.weight() as u32, Some(lat));
+            let stamp = tracer.on_send(from, to, msg.kind(), msg.weight() as u32);
             let packet = link.send(to, msg, now);
             let lane = (from * n + to) as u32;
             let e = lanes.ent(lane);
@@ -593,10 +586,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
             let size = set.len() as u32;
             let now = self.now;
             self.note_cs_enter(i, ord, set);
-            if let Some((wait, serve)) = self.collector.on_grant(i, now) {
-                self.tracer.record_wait(wait);
-                self.tracer.record_serve(serve);
-            }
+            self.collector.on_grant(i, now);
             self.nodes[j].workload.on_grant(now);
             self.tracer.on_cs(EventKind::CsEnter, i, size);
             let cs = self.nodes[j].driver.granted();
@@ -615,7 +605,7 @@ impl<A: Allocator, W: Workload> Shard<A, W> {
         );
         debug_assert!(at >= self.now, "time went backwards");
         self.now = at;
-        self.tracer.on_dispatch(at, ord, self.queue.len());
+        self.tracer.set_key(at, ord);
         match ev {
             Ev::Deliver { from, to, stamp, packet } => {
                 // The plan's time windows first (pause defers, crash and
@@ -1193,7 +1183,7 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
     }
 
     /// Liveness check, stats aggregation, safety replay and metric merge.
-    fn into_result(mut self, wall_ns: u64) -> RunResult {
+    fn into_result(mut self) -> RunResult {
         let algo = self.shards[0].nodes[0].proto.name().to_string();
         let active = self.cfg.active_nodes.unwrap_or(self.n);
         let horizon_cut = self.shards.iter().any(|s| s.horizon_cut);
@@ -1256,10 +1246,10 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         let events: u64 = shard_events.iter().sum();
         let k = self.k;
         let n = self.n;
-        // Merge per-shard tracers: histograms fold (exact), trace buffers
-        // concatenate and sort by the canonical `(at, ord, seq)` key — the
-        // same global order the safety replay above uses — so the merged
-        // trace is independent of the shard layout.
+        // Merge per-shard tracers: trace buffers concatenate and sort by
+        // the canonical `(at, ord, seq)` key — the same global order the
+        // safety replay above uses — so the merged trace is independent of
+        // the shard layout.
         let mut obs = ObsReport::default();
         let mut parts = Vec::new();
         let mut trace_dropped = 0u64;
@@ -1277,7 +1267,6 @@ impl<A: Allocator, W: Workload> Sim<A, W> {
         }
         let mut res = collector.finish(&algo, n, end);
         res.events_processed = events;
-        res.wall_ns = wall_ns;
         res.faults = fault_stats;
         res.reliability = rel_stats;
         res.shards = k;
@@ -1292,16 +1281,7 @@ impl<A: Allocator + Send, W: Workload> Sim<A, W> {
     /// the stepping API: a partially stepped simulation resumes instead of
     /// re-initializing.  Sharded simulations run one worker thread per
     /// shard (hence the `A: Send` bound; protocol states are plain data).
-    ///
-    /// Throughput accounting: `wall_ns` (and thus
-    /// [`RunResult::events_per_sec`]) is only reported when `run` executed
-    /// the *whole* simulation.  A resumed run cannot know how long the
-    /// caller's stepping took, so pairing its partial wall time with the
-    /// lifetime event count would inflate the rate — it reports 0
-    /// ("not measured") instead.
     pub fn run(mut self) -> RunResult {
-        let started = Instant::now();
-        let whole_run = self.shards.iter().map(|s| s.events).sum::<u64>() == 0;
         if !self.initialized {
             self.init();
         }
@@ -1317,12 +1297,7 @@ impl<A: Allocator + Send, W: Workload> Sim<A, W> {
             // bit-identical result, no synchronization cost.
             while self.step_window() {}
         }
-        let wall_ns = if whole_run {
-            started.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        self.into_result(wall_ns)
+        self.into_result()
     }
 
     /// The threaded windowed driver: one worker per shard, two barriers
@@ -1519,13 +1494,11 @@ mod tests {
     }
 
     #[test]
-    fn run_reports_event_throughput() {
+    fn run_counts_events() {
         let cfg = LassConfig::with_loan(4, 8);
         let sim = Sim::new(cfg.build_nodes(), fixed(4, 8, 2), 8, SimConfig::quick(1));
         let res = sim.run();
         assert!(res.events_processed > 0);
-        assert!(res.wall_ns > 0);
-        assert!(res.events_per_sec() > 0.0);
         // Every delivered message is one event, so the count dominates.
         assert!(res.events_processed >= res.msgs_total);
     }
@@ -1562,11 +1535,6 @@ mod tests {
         assert_eq!(resumed.cs_completed, whole.cs_completed);
         assert_eq!(resumed.msgs_total, whole.msgs_total);
         assert_eq!(resumed.events_processed, whole.events_processed);
-        // A resumed run must not report a throughput: its wall clock
-        // covers only part of the event stream.
-        assert_eq!(resumed.wall_ns, 0);
-        assert_eq!(resumed.events_per_sec(), 0.0);
-        assert!(whole.wall_ns > 0);
     }
 
     #[test]
@@ -1935,7 +1903,6 @@ mod tests {
         }
         assert!(windows > 10, "expected many conservative windows");
         let res = sim.run();
-        assert_eq!(res.wall_ns, 0, "partially stepped runs report no throughput");
         assert_eq!(fingerprint(&seq), fingerprint(&res));
     }
 

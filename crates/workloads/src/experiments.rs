@@ -2,8 +2,8 @@
 //!
 //! Each `figN` function runs the corresponding sweep of the paper's
 //! evaluation and returns both structured rows and a rendered [`Table`]
-//! whose series match what the figure plots.  The `mra-bench` binaries and
-//! bench targets are thin wrappers around these functions.
+//! whose series match what the figure plots.  The `mra-bench` binaries are
+//! thin wrappers around these functions.
 //!
 //! Runtime scaling: the full paper grid at 32×80 takes minutes; set
 //! `MRA_FAST=1` (or `MRA_MEASURE_SECS=<s>`) to shrink the measurement
@@ -15,10 +15,15 @@
 use crate::pool;
 use crate::runner::{run, run_configured, Algorithm};
 use crate::scenario::{Load, Scenario};
+use crate::serve_runner::{run_serve, ServeScenario};
 use crate::table::Table;
+use crate::workload::PaperWorkload;
+use mra_baselines::BouabdallahLaforest;
+use mra_core::LassConfig;
+use mra_serve::ServeConfig;
 use mra_sim::faults::FaultPlan;
 use mra_sim::reliable::Reliability;
-use mra_sim::WaitStats;
+use mra_sim::{LatencyModel, Sim, WaitStats};
 use mra_types::Time;
 
 /// Measurement window (seconds) honoring `MRA_MEASURE_SECS` / `MRA_FAST`,
@@ -42,8 +47,8 @@ pub fn measure_secs_or(default: f64) -> f64 {
 }
 
 /// `MRA_FAST` is on when set to anything but `""`/`"0"` — the same rule the
-/// vendored proptest and criterion stand-ins apply, so one variable means
-/// one thing across the workspace.
+/// vendored proptest stand-in applies, so one variable means one thing
+/// across the workspace.
 fn mra_fast() -> bool {
     std::env::var("MRA_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
 }
@@ -609,6 +614,233 @@ pub fn ablation_policy(phi: usize, load: Load, seed: u64, measure_secs: f64) -> 
     t
 }
 
+/// Optimization ablation (§4.6): messages per CS, use rate and mean wait
+/// for LASS with loan, with each of its three optimizations disabled in
+/// turn, at the given φ and load.
+pub fn ablation_optimizations(phi: usize, load: Load, seed: u64, measure_secs: f64) -> Table {
+    type Tweak = fn(&mut LassConfig);
+    let variants: Vec<(&str, Tweak)> = vec![
+        ("all on", |_| {}),
+        ("no single-resource opt", |c| c.opt_single_resource = false),
+        ("no stop-forwarding", |c| c.opt_stop_forwarding = false),
+        ("no father shortcut", |c| c.opt_shortcut_on_counter = false),
+    ];
+    let mut t = Table::new(
+        &format!("Optimization ablation (phi = {phi}, {} load)", load.label()),
+        &["variant", "msgs/cs", "use rate [%]", "mean wait [ms]"],
+    );
+    let rows = pool::sweep(variants, |(label, tweak)| {
+        let sc = Scenario::builder()
+            .load(load)
+            .max_request_size(phi)
+            .seed(seed)
+            .measure_secs(measure_secs)
+            .build();
+        let mut cfg = LassConfig::with_loan(sc.n, sc.m);
+        tweak(&mut cfg);
+        let res = Sim::new(
+            cfg.build_nodes(),
+            PaperWorkload::per_node(&sc, sc.n),
+            sc.m,
+            sc.sim_config(),
+        )
+        .run();
+        vec![
+            label.into(),
+            format!("{:.1}", res.msgs_per_cs()),
+            format!("{:.1}", 100.0 * res.use_rate()),
+            format!("{:.1}", res.wait_stats().mean_ms),
+        ]
+    });
+    for row in rows {
+        t.row(row);
+    }
+    t
+}
+
+/// Hierarchical ("cloud") topology from the paper's §6 future work: two
+/// clusters of `n / 2` nodes, 0.1 ms links inside a cluster and 5 ms links
+/// between them.  Compares Bouabdallah–Laforest with LASS with loan, whose
+/// lack of a global lock should keep non-conflicting traffic local.
+pub fn ablation_topology(phi: usize, load: Load, seed: u64, measure_secs: f64) -> Table {
+    let mut t = Table::new(
+        &format!(
+            "Hierarchical topology (2 clusters, intra 0.1ms, inter 5ms, phi = {phi}, {} load)",
+            load.label()
+        ),
+        &["algorithm", "use rate [%]", "mean wait [ms]", "msgs/cs"],
+    );
+    let algos = vec![Algorithm::BouabdallahLaforest, Algorithm::LassLoan];
+    let rows = pool::sweep(algos, |algo| {
+        let sc = Scenario::builder()
+            .load(load)
+            .max_request_size(phi)
+            .seed(seed)
+            .measure_secs(measure_secs)
+            .build();
+        let mut cfg = sc.sim_config();
+        cfg.latency = LatencyModel::two_clusters(
+            sc.n,
+            sc.n / 2,
+            Time::from_micros(100),
+            Time::from_millis(5),
+        );
+        let workloads = PaperWorkload::per_node(&sc, sc.n);
+        let res = if algo == Algorithm::LassLoan {
+            let nodes = LassConfig::with_loan(sc.n, sc.m).build_nodes();
+            Sim::new(nodes, workloads, sc.m, cfg).run()
+        } else {
+            let nodes = BouabdallahLaforest::build_nodes(sc.n, sc.m);
+            Sim::new(nodes, workloads, sc.m, cfg).run()
+        };
+        vec![
+            algo.label().into(),
+            format!("{:.1}", 100.0 * res.use_rate()),
+            format!("{:.1}", res.wait_stats().mean_ms),
+            format!("{:.1}", res.msgs_per_cs()),
+        ]
+    });
+    for row in rows {
+        t.row(row);
+    }
+    t
+}
+
+/// The serving sweep (`fig_serve`): per-node offered rate for each
+/// algorithm — LASS with loan under, near and past the fleet's capacity,
+/// every other family at the middle rate.
+pub const FIG_SERVE_POINTS: [(Algorithm, f64); 8] = [
+    (Algorithm::LassLoan, 50.0),
+    (Algorithm::LassLoan, 200.0),
+    (Algorithm::LassLoan, 800.0),
+    (Algorithm::LassNoLoan, 200.0),
+    (Algorithm::BouabdallahLaforest, 200.0),
+    (Algorithm::Incremental, 200.0),
+    (Algorithm::Central, 200.0),
+    (Algorithm::Maddi, 200.0),
+];
+
+/// The serving sweep's topology: 8 nodes × 16 resources, φ = 3.
+pub fn fig_serve_scenario(measure_secs: f64) -> Scenario {
+    Scenario::builder()
+        .nodes(8)
+        .resources(16)
+        .max_request_size(3)
+        .seed(0x5E21)
+        .measure_secs(measure_secs)
+        .build()
+}
+
+/// One point of the serving sweep: offered load against goodput, with
+/// arrival-keyed (coordinated-omission-free) grant latency.
+#[derive(Clone, Debug)]
+pub struct ServeRow {
+    /// Algorithm.
+    pub algo: Algorithm,
+    /// Configured arrival rate per node, requests/second.
+    pub rate_hz: f64,
+    /// Fleet-wide measured offered load, requests/second.
+    pub offered_hz: f64,
+    /// Fleet-wide goodput (fully served requests per second).
+    pub goodput_hz: f64,
+    /// Arrivals generated, admitted and shed.
+    pub offered: u64,
+    pub admitted: u64,
+    pub shed: u64,
+    /// Engine CS batches issued and the requests folded into them.
+    pub batches: u64,
+    pub batched_reqs: u64,
+    /// Arrival → grant latency percentiles, milliseconds.
+    pub p50_ms: f64,
+    pub p95_ms: f64,
+    pub p99_ms: f64,
+    pub p999_ms: f64,
+    /// Issue-keyed p99 of the same run: its gap to `p99_ms` is the
+    /// coordinated-omission bias.
+    pub wait_p99_ms: f64,
+}
+
+/// Serving sweep: open-loop Poisson arrivals through the admission queue
+/// and disjoint batching into each algorithm on [`fig_serve_scenario`],
+/// one run per [`FIG_SERVE_POINTS`] entry, in parallel (`MRA_THREADS`),
+/// output in input order.  Every point must pass the serving layer's
+/// conservation check; the first that fails is the error.
+pub fn fig_serve(measure_secs: f64) -> Result<Vec<ServeRow>, String> {
+    pool::sweep(FIG_SERVE_POINTS.to_vec(), |(algo, rate_hz)| {
+        let serve = ServeConfig {
+            rate_hz,
+            ..ServeConfig::default()
+        };
+        let ssc = ServeScenario::new(fig_serve_scenario(measure_secs), serve);
+        let out = run_serve(algo, &ssc, None, None);
+        out.check()
+            .map_err(|e| format!("{} at {rate_hz} Hz: conservation broken: {e}", algo.label()))?;
+        // `LogHist::quantile` takes a percentile and returns nanoseconds.
+        let ms = |q: f64| out.serve.grant_latency.quantile(q) / 1e6;
+        Ok(ServeRow {
+            algo,
+            rate_hz,
+            offered_hz: out.offered_hz(),
+            goodput_hz: out.goodput_hz(),
+            offered: out.serve.offered,
+            admitted: out.serve.admitted,
+            shed: out.serve.shed(),
+            batches: out.serve.batches,
+            batched_reqs: out.serve.batched_reqs,
+            p50_ms: ms(50.0),
+            p95_ms: ms(95.0),
+            p99_ms: ms(99.0),
+            p999_ms: ms(99.9),
+            wait_p99_ms: out.result.wait_stats().p99_ms,
+        })
+    })
+    .into_iter()
+    .collect()
+}
+
+/// The serving sweep as a table (the `fig_serve` binary prints it and
+/// writes it as CSV).
+pub fn fig_serve_table(rows: &[ServeRow]) -> Table {
+    let mut t = Table::new(
+        "fig_serve: offered load vs goodput, arrival-keyed grant latency (8 nodes x 16 resources)",
+        &[
+            "algorithm",
+            "rate/node [Hz]",
+            "offered [/s]",
+            "goodput [/s]",
+            "offered",
+            "admitted",
+            "shed",
+            "batches",
+            "batched reqs",
+            "p50 [ms]",
+            "p95 [ms]",
+            "p99 [ms]",
+            "p999 [ms]",
+            "wait p99 [ms]",
+        ],
+    );
+    for r in rows {
+        t.row(vec![
+            r.algo.label().into(),
+            format!("{:.0}", r.rate_hz),
+            format!("{:.1}", r.offered_hz),
+            format!("{:.1}", r.goodput_hz),
+            r.offered.to_string(),
+            r.admitted.to_string(),
+            r.shed.to_string(),
+            r.batches.to_string(),
+            r.batched_reqs.to_string(),
+            format!("{:.3}", r.p50_ms),
+            format!("{:.3}", r.p95_ms),
+            format!("{:.3}", r.p99_ms),
+            format!("{:.3}", r.p999_ms),
+            format!("{:.3}", r.wait_p99_ms),
+        ]);
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,6 +871,17 @@ mod tests {
         assert_eq!(rows.len(), 18);
         let ts = fig7_tables(&rows);
         assert_eq!(ts.len(), 1);
+    }
+
+    #[test]
+    fn fig_serve_smoke() {
+        let rows = fig_serve(0.3).expect("conservation");
+        assert_eq!(rows.len(), FIG_SERVE_POINTS.len());
+        for r in &rows {
+            assert!(r.offered == r.admitted + r.shed, "{r:?}");
+            assert!(r.goodput_hz <= r.offered_hz + 1e-9, "{r:?}");
+        }
+        assert!(fig_serve_table(&rows).render().contains("fig_serve"));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! is bit-identical to the sequential one, not merely statistically alike.
 //!
 //! No speedup is asserted anywhere here — CI runners have ~2 cores and
-//! shared tenancy, so a wall-clock assertion would flake.  Throughput
-//! scaling is tracked by `bench_engine` (`MRA_BENCH_BIG=1`) instead.
+//! shared tenancy, so a wall-clock assertion would flake.  Throughput is
+//! measured by the benchmark (`BENCHMARK.json`, `perfbench/`), whose
+//! `scale_sim` workload runs this shape on one shard.
 
 use mra_sim::RunResult;
 use mra_workloads::{run, Algorithm, Scenario};

@@ -15,12 +15,15 @@
 //!    the reliable session layer on.
 //! 3. **Determinism** — seeded arrival streams make whole serving runs
 //!    reproducible on the simulator.
+//! 4. **Overload is shed, not hidden** — past the fleet's capacity the
+//!    admission queue sheds arrivals and goodput falls below offered load.
 
 use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
 use mra::protocol::reliable::Reliability;
 use mra::serve::{ServeConfig, ServeWorkload, SharedServeStats};
 use mra::types::Time;
+use mra_workloads::experiments::fig_serve_scenario;
 use mra_workloads::{run_serve, Algorithm, Scenario, ServeScenario};
 
 fn scenario(seed: u64, measure_secs: f64) -> Scenario {
@@ -132,6 +135,24 @@ fn coordinated_omission_stalled_node_p99_grows_with_offered_load() {
         "omission bias missing at high load: serve p99 {:.2} ms vs wait p99 {:.2} ms",
         hi_serve.p99_ms,
         hi_wait.p99_ms
+    );
+}
+
+/// The serving sweep reaches saturation: LASS with loan offered 800 Hz per
+/// node on the `fig_serve` topology (8 nodes × 16 resources) sheds
+/// arrivals at the bounded admission queue, and goodput stays below the
+/// offered load.
+#[test]
+fn lass_loan_sheds_past_saturation() {
+    let ssc = ServeScenario::new(fig_serve_scenario(0.5), serve_cfg(800.0));
+    let out = run_serve(Algorithm::LassLoan, &ssc, None, None);
+    out.check().expect("overload conservation");
+    assert!(out.serve.shed() > 0, "800 Hz per node shed nothing");
+    assert!(
+        out.goodput_hz() < out.offered_hz(),
+        "goodput {:.1}/s not below offered {:.1}/s",
+        out.goodput_hz(),
+        out.offered_hz()
     );
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Honors `MRA_FAST=1` by shrinking the per-node round quota.
 
-use mra::baselines::BouabdallahLaforest;
+use mra::baselines::{BouabdallahLaforest, Maddi};
 use mra::core::LassConfig;
 use mra::net::{run_tcp_cluster, TcpClusterConfig};
 use mra::protocol::faults::FaultPlan;
@@ -18,11 +18,14 @@ use std::time::{Duration, Instant};
 const N: usize = 8;
 const M: usize = 16;
 
+fn fast() -> bool {
+    std::env::var("MRA_FAST").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
 /// Per-node round quota: `MRA_FAST` (the CI knob that shrinks every
 /// workload in the workspace) quarters it.
 fn rounds() -> usize {
-    let fast = std::env::var("MRA_FAST").is_ok_and(|v| !v.is_empty() && v != "0");
-    if fast {
+    if fast() {
         3
     } else {
         12
@@ -92,6 +95,54 @@ fn lass_8_node_cluster_on_the_reactor_backend() {
     assert!(res.obs.net.frames_in > 0, "no inbound frames tallied");
     assert!(res.obs.net.write_calls > 0, "no write syscalls tallied");
     assert!(res.obs.net.read_calls > 0, "no read syscalls tallied");
+}
+
+/// The reactor's coalescing claim: every run spends fewer than 1.5
+/// read+write syscalls per wire frame, the cost of a
+/// thread-per-connection transport (one write plus two blocking reads per
+/// frame) by construction.  Unlike wall or CPU time the syscall count is
+/// free of timing noise.  Near-zero think and CS times make nodes
+/// re-request as fast as the transport carries tokens, so the wire is
+/// saturated: token-serialized LASS (the wakeup-dominated worst case),
+/// broadcast-heavy Maddi (concurrent traffic, where coalescing shows), and
+/// LASS over a 10% drop shim with the session layer's acks and
+/// retransmits in the mix.
+#[test]
+fn reactor_spends_fewer_than_one_and_a_half_syscalls_per_frame() {
+    let saturating = |n: usize| -> Vec<FixedWorkload> {
+        (0..n)
+            .map(|_| FixedWorkload {
+                think: Time::from_micros(5),
+                cs: Time::from_micros(10),
+                m: M,
+                size: 3,
+            })
+            .collect()
+    };
+    // (label, Maddi instead of LASS-loan, nodes, full-mode rounds, lossy)
+    let points = [
+        ("lass_loan_8n", false, 8, 80, false),
+        ("maddi_16n", true, 16, 40, false),
+        ("lass_loan_8n_reliable_loss10", false, 8, 80, true),
+    ];
+    for (label, maddi, n, full_rounds, lossy) in points {
+        let rounds = if fast() { full_rounds / 4 } else { full_rounds };
+        let cfg = TcpClusterConfig {
+            faults: lossy.then(|| FaultPlan::new(0xFA17).drop_rate(0.1)),
+            reliability: lossy.then(|| Reliability::with_rto(Time::from_millis(2))),
+            ..TcpClusterConfig::new(rounds, 0xBE7_0000)
+        };
+        let res = if maddi {
+            run_tcp_cluster(Maddi::build_nodes(n, M), saturating(n), M, cfg)
+        } else {
+            let nodes = LassConfig::with_loan(n, M).build_nodes();
+            run_tcp_cluster(nodes, saturating(n), M, cfg)
+        };
+        assert_eq!(res.cs_completed, (n * rounds) as u64, "{label}");
+        let ratio = res.obs.net.syscalls_per_frame().expect("frames moved");
+        println!("{label}: {ratio:.4} syscalls/frame");
+        assert!(ratio < 1.5, "{label}: {ratio:.4} syscalls per frame");
+    }
 }
 
 #[test]
