@@ -583,6 +583,11 @@ impl Lass {
     // ------------------------------------------------------------------
 
     fn on_requests(&mut self, ctx: &mut Ctx<LassMsg>, visited: NodeSet, reqs: Vec<Request>) {
+        // A batch naming a node or resource outside the system is corrupt
+        // or hostile: drop it before an id indexes state or joins a set.
+        if !self.batch_in_range(&visited, &reqs) {
+            return;
+        }
         for req in reqs {
             let r = req.r();
             let sinit = req.sinit();
@@ -657,6 +662,20 @@ impl Lass {
         let mut fwd_visited = visited;
         fwd_visited.insert(self.me);
         self.flush_all(ctx, fwd_visited);
+    }
+
+    /// True if every node and resource a request batch names exists.
+    fn batch_in_range(&self, visited: &NodeSet, reqs: &[Request]) -> bool {
+        let (n, m) = (self.cfg.n, self.cfg.m);
+        visited.last().map_or(true, |v| v < n)
+            && reqs.iter().all(|q| {
+                q.r() < m
+                    && q.sinit() < n
+                    && match q {
+                        Request::Loan(l) => l.missing.last().map_or(true, |r| r < m),
+                        _ => true,
+                    }
+            })
     }
 
     fn push_pending(&mut self, r: ResourceId, req: Request) {
@@ -745,7 +764,7 @@ impl Lass {
             // borrowed token to its legitimate owner (annex A lines
             // 217-223).
             let mut returned = false;
-            for r in self.t_owned.iter().collect::<Vec<_>>() {
+            for r in self.t_owned.iter() {
                 if let Some(lender) = self.last_tok.get(r).and_then(|t| t.lender) {
                     debug_assert_ne!(lender, self.me);
                     // [deviation 3] clear the loan marker on return.
@@ -790,7 +809,7 @@ impl Lass {
     /// the resource).
     fn reschedule_owned(&mut self) {
         let my_mark = self.mark();
-        for r in self.t_owned.iter().collect::<Vec<_>>() {
+        for r in self.t_owned.iter() {
             if !self.t_owned.contains(r) {
                 continue; // handed away by a previous iteration's loan
             }
@@ -833,7 +852,7 @@ impl Lass {
 
     /// Annex A lines 241–247: retry queued loan requests of owned tokens.
     fn retry_pending_loans(&mut self) {
-        for r in self.t_owned.iter().collect::<Vec<_>>() {
+        for r in self.t_owned.iter() {
             if !self.t_owned.contains(r) {
                 continue;
             }
@@ -969,7 +988,7 @@ impl Allocator for Lass {
         self.borrowed_in_cs = false;
         let me = self.me;
         let id = self.cur_id;
-        for r in self.t_required.iter().collect::<Vec<_>>() {
+        for r in self.t_required.iter() {
             debug_assert!(self.t_owned.contains(r));
             self.tok_mut(r).set_last_cs(me, id);
             match self.tok_mut(r).lender {
@@ -992,7 +1011,7 @@ impl Allocator for Lass {
         // [deviation 7] tokens we own but did not use can carry queued
         // requests (e.g. they returned from a borrower mid-CS); serve them
         // now — release() never visits them otherwise.
-        for r in self.t_owned.iter().collect::<Vec<_>>() {
+        for r in self.t_owned.iter() {
             if self.t_required.contains(r) {
                 continue;
             }

@@ -3,7 +3,8 @@
 //! problems), §4.6 (optimizations) and the deviation fixes rely on.
 
 use mra_core::{Lass, LassConfig, LassMsg, LoanReq, Request, ResReq};
-use mra_protocol::{Allocator, Ctx, ProcState, WireMsg};
+use mra_protocol::wire::MAX_LISTED_ID;
+use mra_protocol::{Allocator, Ctx, ProcState, WireCodec, WireMsg};
 use mra_types::{NodeSet, ResourceSet};
 
 fn ctxs(n: usize) -> Vec<Ctx<LassMsg>> {
@@ -231,4 +232,59 @@ fn idle_token_arrival_does_not_grant() {
     assert!(!c[1].take_granted(), "no CS entry while idle");
     assert_eq!(nodes[1].state(), ProcState::Idle);
     assert!(nodes[1].owned().contains(0), "token absorbed for later");
+}
+
+#[test]
+fn requests_naming_absent_nodes_or_resources_are_dropped() {
+    // A corrupt or hostile peer frame can name any id.  The codec refuses
+    // ids past MAX_LISTED_ID; the handler drops a batch naming a node or
+    // resource outside the system before the id indexes state or joins a
+    // set (where it would size a bitmap for itself).
+    let cfg = LassConfig::with_loan(3, 3);
+    let mut nodes = cfg.build_nodes();
+    let mut c = ctxs(3);
+    let batch = |visited: NodeSet, req: Request| LassMsg::Requests {
+        visited,
+        reqs: vec![req],
+    };
+    let res = |r, sinit| {
+        Request::Res(ResReq {
+            r,
+            sinit,
+            id: 1,
+            mark: 2.0,
+        })
+    };
+    let far: NodeSet = (1..9).chain([u32::MAX as usize]).collect();
+    assert!(LassMsg::from_bytes(&batch(far, res(0, 1)).to_bytes()).is_err());
+    let wide: NodeSet = (1..9).chain([MAX_LISTED_ID as usize]).collect();
+    let loan = Request::Loan(LoanReq {
+        r: 0,
+        sinit: 1,
+        id: 1,
+        mark: 2.0,
+        missing: [0usize, 100_000].into_iter().collect(),
+    });
+    let cnt = Request::Cnt {
+        r: 1_000_000,
+        sinit: 1,
+        id: 1,
+        single: false,
+    };
+    for msg in [
+        batch(wide, res(0, 1)),
+        batch(NodeSet::singleton(1), cnt),
+        batch(NodeSet::singleton(1), res(0, 7)),
+        batch(NodeSet::singleton(1), loan),
+    ] {
+        let msg = LassMsg::from_bytes(&msg.to_bytes()).expect("the codec admits it");
+        // Node 0 holds every token; node 2 would forward to it.
+        for to in [0, 2] {
+            nodes[to].on_message(&mut c[to], 1, msg.clone());
+            assert!(c[to].take_outbox().is_empty(), "node {to} acted on {msg:?}");
+        }
+    }
+    // The same request with in-range ids is served: node 2 forwards it.
+    nodes[2].on_message(&mut c[2], 1, batch(NodeSet::singleton(1), res(0, 1)));
+    assert_eq!(c[2].take_outbox().len(), 1);
 }

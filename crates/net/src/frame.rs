@@ -45,6 +45,9 @@ pub const TAG_RACK: u8 = 4;
 /// attempt before any validation — rejected before the buffer grows.
 pub const MAX_FRAME: usize = 64 * 1024;
 
+// A set's id list reaches exactly as far as its word form in one frame.
+const _: () = assert!(mra_protocol::wire::MAX_LISTED_ID as usize + 1 == MAX_FRAME * 8);
+
 /// Size of the frame header (`len` field + tag byte).
 pub const HEADER: usize = 5;
 

@@ -28,8 +28,9 @@ fn assert_roundtrip<T: WireCodec + Debug>(v: &T) -> Result<(), TestCaseError> {
 }
 
 /// Arbitrary dynamic set, biased toward interesting shapes: empty, sparse,
-/// dense, full inline capacity, and sets past the 256-element inline
-/// boundary (heap representation, length-prefixed multi-word encoding).
+/// dense, full inline capacity, sets past the 256-element inline bitmap
+/// in both wire forms (a few large ids travel as an id list, more as
+/// words).
 fn any_set() -> impl Strategy<Value = ResourceSet> {
     prop_oneof![
         Just(ResourceSet::EMPTY),
@@ -38,6 +39,9 @@ fn any_set() -> impl Strategy<Value = ResourceSet> {
         (0usize..257).prop_map(ResourceSet::full),
         vec(0usize..100_000, 0..12).prop_map(|els| els.into_iter().collect()),
         (256usize..2000).prop_map(ResourceSet::full),
+        vec(99_000usize..100_000, 1..11).prop_map(|els| els.into_iter().collect()),
+        (vec(0usize..256, 0..5), vec(256usize..100_000, 1..5))
+            .prop_map(|(lo, hi)| lo.into_iter().chain(hi).collect()),
     ]
 }
 
@@ -207,6 +211,31 @@ proptest! {
     #[test]
     fn central_messages_roundtrip(m in any_central_msg()) {
         assert_roundtrip(&m)?;
+    }
+
+    /// A set travels as an id list exactly when it has the inline id
+    /// array's shape, where the list is the shorter form; every other set,
+    /// and every set below 256 in particular, keeps the word form.
+    #[test]
+    fn dynset_wire_form_follows_the_elements(s in any_set()) {
+        assert_roundtrip(&s)?;
+        let bytes = s.to_bytes();
+        let head = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        let words = s.to_words();
+        let listed =
+            s.last().is_some_and(|hi| hi >= 256) && s.len() <= ResourceSet::MAX_INLINE_IDS;
+        prop_assert_eq!(head >> 31 == 1, listed);
+        if listed {
+            prop_assert_eq!(head & !(1 << 31), s.len() as u32);
+            prop_assert_eq!(bytes.len(), 4 + 4 * s.len());
+            prop_assert!(bytes.len() < 4 + 8 * words.len());
+        } else {
+            let mut want = (words.len() as u32).to_le_bytes().to_vec();
+            for w in &words {
+                want.extend_from_slice(&w.to_le_bytes());
+            }
+            prop_assert_eq!(bytes, want);
+        }
     }
 
     #[test]

@@ -7,9 +7,13 @@
 //! contract the reactor depends on: every frame comes out exactly once,
 //! in order, byte-identical, no matter where the reads land.
 
+use mra_core::LassMsg;
 use mra_net::frame::{
     write_frame, FrameBuf, WriteBuf, MAX_FRAME, READ_CHUNK, RETAIN_LIMIT, TAG_MSG,
 };
+use mra_protocol::wire::MAX_LISTED_ID;
+use mra_protocol::WireCodec;
+use mra_types::NodeSet;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::io::{self, Read};
@@ -224,6 +228,67 @@ proptest! {
             wb.capacity(),
             RETAIN_LIMIT
         );
+    }
+
+    /// Hostile id-list sets inside framed messages: a `Requests` message
+    /// whose visited set carries the id-list tag with any count (past the
+    /// cap, past the bytes present) and any ids (repeated, descending,
+    /// past [`MAX_LISTED_ID`]).  The frame layer delivers each payload intact and the codec
+    /// either rejects it or decodes a message that re-encodes stably;
+    /// nothing panics, and a well-formed list always decodes.
+    #[test]
+    fn hostile_sparse_set_payloads_never_panic(
+        msgs in vec(
+            (
+                prop_oneof![0u32..12, any::<u32>()],
+                vec(prop_oneof![0u32..300, 99_000u32..100_000, any::<u32>()], 0..12),
+                any::<bool>(),
+            ),
+            1..8,
+        ),
+        splits in vec(1usize..97, 1..16),
+    ) {
+        let mut wire = Vec::new();
+        let mut well_formed = Vec::new();
+        for (count, ids, sorted) in &msgs {
+            let mut ids = ids.clone();
+            if *sorted {
+                ids.sort_unstable();
+                ids.dedup();
+            }
+            let mut payload = vec![0u8]; // LassMsg::Requests
+            payload.extend_from_slice(&((1u32 << 31) | count).to_le_bytes());
+            for i in &ids {
+                payload.extend_from_slice(&i.to_le_bytes());
+            }
+            payload.extend_from_slice(&0u32.to_le_bytes()); // no requests
+            let exact = *count as usize == ids.len() && ids.len() <= NodeSet::MAX_INLINE_IDS;
+            let in_range = ids.iter().all(|&i| i <= MAX_LISTED_ID);
+            well_formed.push(exact && in_range && ids.windows(2).all(|w| w[0] < w[1]));
+            write_frame(&mut wire, TAG_MSG, &payload).unwrap();
+        }
+        let mut r = Dribble { wire: &wire, pos: 0, splits: &splits, turn: 0 };
+        let mut fb = FrameBuf::new();
+        let mut scratch = Vec::new();
+        let mut got = Vec::new();
+        loop {
+            let n = fb.read_from(&mut r).unwrap();
+            drain(&mut fb, &mut scratch, &mut got);
+            if n == 0 {
+                break;
+            }
+        }
+        prop_assert_eq!(got.len(), msgs.len());
+        for ((_, payload), ok) in got.iter().zip(&well_formed) {
+            match LassMsg::from_bytes(payload) {
+                Ok(m) => {
+                    prop_assert!(*ok, "a malformed id list decoded");
+                    let again = LassMsg::from_bytes(&m.to_bytes()).expect("re-encoding decodes");
+                    prop_assert_eq!(format!("{again:?}"), format!("{m:?}"));
+                }
+                Err(_) => prop_assert!(!ok, "a well-formed id list was rejected"),
+            }
+        }
     }
 
     /// A frame decoded through the incremental path is byte-identical to

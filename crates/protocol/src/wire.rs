@@ -11,9 +11,16 @@
 //!   headroom;
 //! * enums as a leading `u8` variant tag;
 //! * sequences as a `u32` element count followed by the elements;
-//! * sets ([`DynSet`], i.e. `ResourceSet`/`NodeSet`) as a `u32` word count
-//!   followed by that many raw words, trailing zero words trimmed (see
-//!   [`DynSet::to_words`]).
+//! * sets ([`DynSet`], i.e. `ResourceSet`/`NodeSet`) in one of two forms,
+//!   told apart by the high bit of a leading `u32`:
+//!   - bit clear: the low bits count `u64` words, which follow, trailing
+//!     zero words trimmed (see [`DynSet::to_words`]);
+//!   - bit set: the low bits count `u32` ids, which follow in strictly
+//!     increasing order, none past [`MAX_LISTED_ID`].  Used exactly when
+//!     [`DynSet::inline_ids`] is `Some` — at most
+//!     [`DynSet::MAX_INLINE_IDS`] elements, one of them ≥ 256 — where it
+//!     is always the shorter form.  A set whose elements are all below
+//!     256 always takes the word form.
 //!
 //! Codecs are *total on the encode side* and *validating on the decode
 //! side*: [`WireCodec::decode`] returns [`DecodeError`] instead of
@@ -49,12 +56,21 @@ pub enum DecodeError {
         /// The offending tag value.
         tag: u8,
     },
-    /// A length prefix exceeded the bytes remaining in the input.
+    /// A length prefix exceeded the bytes remaining in the input, or the
+    /// sequence's own cap.
     BadLen {
         /// The sequence being decoded.
         what: &'static str,
         /// The claimed element count.
         len: usize,
+    },
+    /// An id of an id list was not above its predecessor, or was past
+    /// [`MAX_LISTED_ID`].
+    BadId {
+        /// The sequence being decoded.
+        what: &'static str,
+        /// The offending id.
+        id: usize,
     },
 }
 
@@ -64,7 +80,10 @@ impl fmt::Display for DecodeError {
             DecodeError::Eof { what } => write!(f, "input truncated while decoding {what}"),
             DecodeError::BadTag { what, tag } => write!(f, "unknown {what} variant tag {tag}"),
             DecodeError::BadLen { what, len } => {
-                write!(f, "{what} length {len} exceeds remaining input")
+                write!(f, "{what} length {len} exceeds remaining input or cap")
+            }
+            DecodeError::BadId { what, id } => {
+                write!(f, "{what} id {id} out of order or past {MAX_LISTED_ID}")
             }
         }
     }
@@ -278,8 +297,25 @@ impl WireCodec for Time {
     }
 }
 
+/// Tag bit in a set's leading `u32`: set, the low bits count `u32` ids;
+/// clear, they count `u64` bitmap words.
+const SET_IDS_TAG: u32 = 1 << 31;
+
+/// Largest id a set's id list may carry: the most a set in word form
+/// reaches inside one 64 KiB frame (`mra-net`'s `MAX_FRAME`, 8 ids per
+/// byte).  A list admits no set the word form could not carry, so a
+/// decoded set that grows never needs a bitmap past 64 KiB.
+pub const MAX_LISTED_ID: u32 = 64 * 1024 * 8 - 1;
+
 impl WireCodec for DynSet {
     fn encode(&self, out: &mut Vec<u8>) {
+        if let Some(ids) = self.inline_ids() {
+            put_u32(out, SET_IDS_TAG | ids.len() as u32);
+            for &i in ids {
+                put_u32(out, i);
+            }
+            return;
+        }
         let words = self.to_words();
         put_usize(out, words.len());
         for w in words {
@@ -288,12 +324,42 @@ impl WireCodec for DynSet {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-        let len = r.get_len(8, "DynSet")?;
-        let mut words = vec![0u64; len];
-        for w in &mut words {
-            *w = r.get_u64("DynSet")?;
+        let head = r.get_u32("DynSet")?;
+        if head & SET_IDS_TAG == 0 {
+            let len = head as usize;
+            if len.saturating_mul(8) > r.remaining() {
+                return Err(DecodeError::BadLen {
+                    what: "DynSet",
+                    len,
+                });
+            }
+            let mut words = vec![0u64; len];
+            for w in &mut words {
+                *w = r.get_u64("DynSet")?;
+            }
+            return Ok(DynSet::from_words(&words));
         }
-        Ok(DynSet::from_words(&words))
+        let len = (head & !SET_IDS_TAG) as usize;
+        if len > DynSet::MAX_INLINE_IDS || len * 4 > r.remaining() {
+            return Err(DecodeError::BadLen {
+                what: "DynSet ids",
+                len,
+            });
+        }
+        let mut set = DynSet::new();
+        let mut prev = None;
+        for _ in 0..len {
+            let i = r.get_u32("DynSet ids")?;
+            if prev.is_some_and(|p| p >= i) || i > MAX_LISTED_ID {
+                return Err(DecodeError::BadId {
+                    what: "DynSet ids",
+                    id: i as usize,
+                });
+            }
+            prev = Some(i);
+            set.insert(i as usize);
+        }
+        Ok(set)
     }
 }
 
@@ -375,6 +441,65 @@ mod tests {
         // costs prefix + one word.
         assert_eq!(DynSet::EMPTY.to_bytes().len(), 4);
         assert_eq!(DynSet::singleton(3).to_bytes().len(), 4 + 8);
+    }
+
+    #[test]
+    fn sparse_sets_travel_as_id_lists() {
+        let five: DynSet = [7usize, 99_000, 99_500, 99_900, 99_999]
+            .into_iter()
+            .collect();
+        roundtrip(five.clone());
+        // Tagged count + five u32 ids, against 4 + 1_563 × 8 as words.
+        assert_eq!(five.to_bytes().len(), 4 + 5 * 4);
+        assert_eq!(five.to_bytes()[..4], (SET_IDS_TAG | 5).to_le_bytes());
+        // Sets below 256 keep the word form byte for byte.
+        let small: DynSet = [3usize, 200].into_iter().collect();
+        let mut want = Vec::new();
+        put_u32(&mut want, 4);
+        for w in [8u64, 0, 0, 1 << 8] {
+            put_u64(&mut want, w);
+        }
+        assert_eq!(small.to_bytes(), want);
+        // Past the id-array capacity the word form returns.
+        let ten: DynSet = (300..310).collect();
+        assert_eq!(ten.to_bytes().len(), 4 + 5 * 8);
+        roundtrip(ten);
+    }
+
+    #[test]
+    fn hostile_id_lists_rejected() {
+        let list = |head: u32, ids: &[u32]| {
+            let mut b = Vec::new();
+            put_u32(&mut b, head);
+            for &i in ids {
+                put_u32(&mut b, i);
+            }
+            DynSet::from_bytes(&b)
+        };
+        let cap = DynSet::MAX_INLINE_IDS as u32;
+        let ids: Vec<u32> = (0..cap + 1).map(|i| 300 + i).collect();
+        assert!(list(SET_IDS_TAG | cap, &ids[..cap as usize]).is_ok());
+        assert!(matches!(
+            list(SET_IDS_TAG | (cap + 1), &ids),
+            Err(DecodeError::BadLen { .. })
+        ));
+        assert!(matches!(
+            list(SET_IDS_TAG | u32::MAX, &ids),
+            Err(DecodeError::BadLen { .. })
+        ));
+        assert!(matches!(
+            list(SET_IDS_TAG | 3, &[1, 2]),
+            Err(DecodeError::BadLen { .. })
+        ));
+        let bad_id = |id| Err(DecodeError::BadId { what: "DynSet ids", id });
+        assert_eq!(list(SET_IDS_TAG | 2, &[400, 400]), bad_id(400));
+        assert_eq!(list(SET_IDS_TAG | 3, &[1, 500, 499]), bad_id(499));
+        // Ids reach as far as a word-form set in one frame, no further.
+        let far = list(SET_IDS_TAG | 2, &[5, MAX_LISTED_ID]).unwrap();
+        assert_eq!(far.to_vec(), vec![5, MAX_LISTED_ID as usize]);
+        let past = MAX_LISTED_ID + 1;
+        assert_eq!(list(SET_IDS_TAG | 2, &[5, past]), bad_id(past as usize));
+        assert_eq!(list(SET_IDS_TAG | 1, &[u32::MAX]), bad_id(u32::MAX as usize));
     }
 
     #[test]

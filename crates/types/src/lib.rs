@@ -7,8 +7,11 @@
 //! * [`Time`] — a nanosecond-resolution instant/duration used as virtual time
 //!   by the discrete-event simulator and as real time by the TCP
 //!   runtime.
-//! * [`DynSet`] — a dynamic word-vector bitset with an inline ≤256-element
-//!   fast path.  [`ResourceSet`] and [`NodeSet`] are typed aliases.
+//! * [`DynSet`] — a set of ids that picks its representation from its
+//!   contents: an inline bitmap for ids below 256, an inline sorted array
+//!   for a few ids of any size, a heap bitmap beyond that.  Operations cost
+//!   O(|S|) whenever an operand is inline.  [`ResourceSet`] and
+//!   [`NodeSet`] are typed aliases.
 //! * [`ResTable`] — per-resource state storage, dense for small universes
 //!   and lazily materialized at 100k-resource scale.
 //! * [`NodeId`] / [`ResourceId`] / [`RequestId`] — plain index aliases.
